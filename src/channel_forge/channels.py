@@ -8,8 +8,8 @@ ordered (output factor, input factor):
 Kraus sets, Liouville superoperators, and Stinespring pairs are derived
 views. Vectorization is row-major, so the superoperator of a Kraus set is
 ``sum_i K_i (x) conj(K_i)`` and the Choi/superoperator reshuffle is the
-involutive middle-index swap of :func:`channel_forge.linalg.reshuffle`
-together with an explicit factor ``d_in``.
+middle-index swap of :func:`channel_forge.linalg.reshuffle` (an involution
+for square channels) together with an explicit factor ``d_in``.
 """
 
 from __future__ import annotations
@@ -162,7 +162,10 @@ class Channel:
     def superop(self) -> np.ndarray:
         """Liouville superoperator acting on row-major vectorized states (cached)."""
         if self._superop_cache is None:
-            self._superop_cache = reshuffle(self.choi, self.dim_out, self.dim_in) * self.dim_in
+            # choi[(a,b),(c,d)] with a, c output and b, d input -> S[(a,c),(b,d)]
+            do, di = self.dim_out, self.dim_in
+            t = self.choi.reshape(do, di, do, di).transpose(0, 2, 1, 3)
+            self._superop_cache = t.reshape(do * do, di * di) * di
         return self._superop_cache
 
     def stinespring(self):

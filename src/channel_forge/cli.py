@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -212,12 +211,7 @@ def _figure_rows(args) -> list[dict]:
         runner = lambda v: fig.fig6c_rows([v], seed=args.seed, optimizer=opt)
     else:
         raise ChannelError(f"unknown figure {name!r}; known: {sorted(fig.FIGURES)}")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(runner, values))
-    else:
-        chunks = [runner(v) for v in values]
-    return [row for chunk in chunks for row in chunk]
+    return [row for v in values for row in runner(v)]
 
 
 def cmd_figures(args) -> int:
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="rng seed for stochastic modes")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_channel = sub.add_parser("channel", help="build/convert/compare/validate channels")

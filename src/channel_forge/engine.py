@@ -8,16 +8,21 @@ Wires are addressed through stable integer handles that survive trace-outs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, ChannelError
-from .linalg import as_complex
+from .channels import Channel, ChannelError, kraus_to_superop
+from .linalg import as_complex, partial_trace
 
 BRANCH_PROB_FLOOR = 1e-15
 
 MAX_TOTAL_DIMENSION = 4096  # 12 qubits
+
+MAX_STATE_BYTES = 2 * 1024**3  # all branch states together: branches x D^2 x 16 bytes
+
+SUPEROP_MAX_DIM = 8  # single operators on more local dimensions skip their superoperator
 
 
 @dataclass
@@ -37,30 +42,42 @@ def permute_factors(rho: np.ndarray, dims: list[int], perm: list[int]) -> np.nda
     return t.reshape(d, d)
 
 
-def _apply_matrix(rho: np.ndarray, dims: list[int], op: np.ndarray,
-                  axes: list[int], out_dims: list[int], in_dims: list[int]) -> np.ndarray:
-    """Return op rho op^dag with op acting on the given tensor axes."""
-    n = len(dims)
+def _check_memory(branches: int, dim: int) -> None:
+    """Raise before the engine would hold more than MAX_STATE_BYTES of states."""
+    if branches * dim * dim * 16 > MAX_STATE_BYTES:
+        raise ChannelError(f"{branches} branch(es) of dimension {dim} exceed the engine "
+                           f"budget of {MAX_STATE_BYTES} bytes")
+
+
+def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]) -> np.ndarray:
+    """Contract the row-major matrix ``m`` into the given axes of the tensor ``t``.
+
+    Reshaped to ``out_dims + in_dims``, the input axes of ``m`` pair with
+    ``axes`` in one tensordot, and one moveaxis puts its output axes back in
+    their place.
+    """
     k = len(axes)
-    t = rho.reshape(dims + dims)
-    op_t = op.reshape(tuple(out_dims) + tuple(in_dims))
-    in_ax = list(range(k, 2 * k))
-    # left multiplication on row axes
-    t = np.tensordot(op_t, t, axes=(in_ax, axes))
-    t = np.moveaxis(t, list(range(k)), axes)
-    # right multiplication (conjugate) on column axes
-    col_axes = [n + a for a in axes]
-    t = np.tensordot(op_t.conj(), t, axes=(in_ax, col_axes))
-    t = np.moveaxis(t, list(range(k)), col_axes)
-    new_dims = list(dims)
-    for a, d in zip(axes, out_dims):
-        new_dims[a] = d
-    d_total = int(np.prod(new_dims))
-    return t.reshape(d_total, d_total)
+    in_dims = [t.shape[a] for a in axes]
+    m = m.reshape(list(out_dims) + in_dims)
+    t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, list(range(k)), list(axes))
+
+
+def _operator_form(k: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(matrix, single) for one operator K: its superoperator K (x) conj(K) up to
+    SUPEROP_MAX_DIM local dims, where one contraction beats two; K itself above,
+    where that d^4 array costs more memory and flops than K rho K^dagger."""
+    k = as_complex(k)
+    single = k.ndim == 2 and k.shape[1] > SUPEROP_MAX_DIM
+    return (k, True) if single else (kraus_to_superop([k]), False)
 
 
 class StateEngine:
-    """Branching density-matrix simulator over dynamically managed wires."""
+    """Branching density-matrix simulator over dynamically managed wires.
+
+    Every operation goes through one kernel, ``_contract``; channels as their
+    local row-major superoperator ``sum_i K_i (x) conj(K_i)``.
+    """
 
     def __init__(self):
         self.dims: list[int] = []
@@ -88,6 +105,7 @@ class StateEngine:
             raise ChannelError(
                 f"total dimension {self.total_dim * d_new} exceeds engine cap {MAX_TOTAL_DIMENSION}"
             )
+        _check_memory(len(self.branches), self.total_dim * d_new)
         if state is None:
             state = np.zeros((d_new, d_new), dtype=np.complex128)
             state[0, 0] = 1.0
@@ -118,61 +136,73 @@ class StateEngine:
 
     # -- operations ---------------------------------------------------------
 
-    def apply_unitary(self, u: np.ndarray, wires: list[int]) -> None:
-        u = as_complex(u)
-        axes = [self.axis_of(h) for h in wires]
-        dims_sub = [self.dims[a] for a in axes]
-        d_sub = int(np.prod(dims_sub))
-        if u.shape != (d_sub, d_sub):
-            raise ChannelError(f"gate shape {u.shape} does not match wire dims {dims_sub}")
-        for b in self.branches:
-            b.rho = _apply_matrix(b.rho, self.dims, u, axes, dims_sub, dims_sub)
+    def _evolve(self, rho: np.ndarray, op: np.ndarray, single: bool,
+                axes: list[int], out_dims: list[int]) -> np.ndarray:
+        """Image of rho: a superoperator contracts into the wires' row and column
+        axes at once, a single operator K into the rows and conj(K) into the columns."""
+        n = len(self.dims)
+        t = rho.reshape(self.dims + self.dims)
+        cols = [n + a for a in axes]
+        if single:
+            t = _contract(_contract(t, op, axes, out_dims), op.conj(), cols, out_dims)
+        else:
+            t = _contract(t, op, axes + cols, out_dims * 2)
+        side = math.isqrt(t.size)
+        return t.reshape(side, side)
 
-    def apply_kraus(self, kraus: list[np.ndarray], wires: list[int],
-                    out_dims: list[int] | None = None) -> None:
+    def _apply(self, op: np.ndarray, single: bool, wires: list[int],
+               out_dims: list[int] | None = None,
+               condition: tuple[str, int] | None = None) -> None:
+        """Apply a superoperator, or one operator if ``single``, to every branch
+        (matching ``condition``, if given)."""
         axes = [self.axis_of(h) for h in wires]
+        if len(set(axes)) != len(axes):
+            raise ChannelError(f"wires {list(wires)} repeat a wire")
         in_dims = [self.dims[a] for a in axes]
-        if out_dims is None:
-            out_dims = in_dims
-        d_in = int(np.prod(in_dims))
-        d_out = int(np.prod(out_dims))
-        for k in kraus:
-            if k.shape != (d_out, d_in):
-                raise ChannelError(f"Kraus shape {k.shape} does not match dims ({d_out},{d_in})")
-        for b in self.branches:
-            acc = None
-            for k in kraus:
-                term = _apply_matrix(b.rho, self.dims, k, axes, out_dims, in_dims)
-                acc = term if acc is None else acc + term
-            b.rho = acc
+        out_dims = in_dims if out_dims is None else list(out_dims)
+        d_in, d_out = int(np.prod(in_dims)), int(np.prod(out_dims))
+        expected = (d_out, d_in) if single else (d_out**2, d_in**2)
+        if op.shape != expected:
+            raise ChannelError(f"operation of shape {op.shape} does not map wire dims "
+                               f"{in_dims} to {out_dims}")
+        branches = self.branches
+        if condition is not None:
+            register, value = condition
+            if not any(register == r for r, _, _ in self.measurement_log):
+                raise ChannelError(f"condition references unmeasured register {register!r}")
+            branches = [b for b in branches if b.records.get(register) == value]
+        new_dims = list(self.dims)
         for a, d in zip(axes, out_dims):
-            self.dims[a] = d
+            new_dims[a] = d
+        _check_memory(len(self.branches), int(np.prod(new_dims)))
+        for b in branches:
+            b.rho = self._evolve(b.rho, op, single, axes, out_dims)
+        self.dims = new_dims
+
+    def apply_unitary(self, u: np.ndarray, wires: list[int]) -> None:
+        self._apply(*_operator_form(u), wires)
 
     def apply_channel(self, ch: Channel, wires: list[int]) -> None:
-        axes = [self.axis_of(h) for h in wires]
-        in_dims = [self.dims[a] for a in axes]
-        d_in = int(np.prod(in_dims))
-        if ch.dim_in != d_in:
-            raise ChannelError(f"channel dim_in {ch.dim_in} does not match wire dims {in_dims}")
-        if ch.dim_out != ch.dim_in:
-            if len(wires) != 1:
-                raise ChannelError("dimension-changing channels are limited to a single wire")
-            out_dims = [ch.dim_out]
-        else:
-            out_dims = in_dims
-        self.apply_kraus(ch.kraus(), wires, out_dims=out_dims)
+        if ch.dim_out != ch.dim_in and len(wires) != 1:
+            raise ChannelError("dimension-changing channels are limited to a single wire")
+        self._apply(ch.superop(), False, wires, [ch.dim_out] if len(wires) == 1 else None)
 
     def measure(self, wire: int, register: str, projectors: list[np.ndarray] | None = None) -> None:
-        """Projective measurement; branches split per outcome, records updated."""
+        """Projective measurement; branches split per outcome, records updated.
+
+        The memory check counts the old branches too: they are held until the end.
+        """
         ax = self.axis_of(wire)
         d = self.dims[ax]
         if projectors is None:
             projectors = [np.diag((np.arange(d) == k).astype(np.complex128)) for k in range(d)]
-        total = np.zeros(len(projectors))
+        forms = [_operator_form(p) for p in projectors]
+        total = np.zeros(len(forms))
         new_branches = []
         for b in self.branches:
-            for outcome, proj in enumerate(projectors):
-                rho_o = _apply_matrix(b.rho, self.dims, proj, [ax], [d], [d])
+            for outcome, (op, single) in enumerate(forms):
+                _check_memory(len(self.branches) + len(new_branches) + 1, self.total_dim)
+                rho_o = self._evolve(b.rho, op, single, [ax], [d])
                 p = float(np.trace(rho_o).real)
                 total[outcome] += b.prob * p
                 if b.prob * p > BRANCH_PROB_FLOOR:
@@ -185,44 +215,19 @@ class StateEngine:
 
     def apply_conditional_unitary(self, u: np.ndarray, wires: list[int],
                                   register: str, value: int) -> None:
-        self._check_record(register)
-        u = as_complex(u)
-        axes = [self.axis_of(h) for h in wires]
-        dims_sub = [self.dims[a] for a in axes]
-        for b in self.branches:
-            if b.records.get(register) == value:
-                b.rho = _apply_matrix(b.rho, self.dims, u, axes, dims_sub, dims_sub)
+        self._apply(*_operator_form(u), wires, condition=(register, value))
 
     def apply_conditional_channel(self, ch: Channel, wires: list[int],
                                   register: str, value: int) -> None:
-        self._check_record(register)
-        axes = [self.axis_of(h) for h in wires]
-        in_dims = [self.dims[a] for a in axes]
-        if ch.dim_out != ch.dim_in or ch.dim_in != int(np.prod(in_dims)):
-            raise ChannelError("conditional channels must be square and match wire dims")
-        kraus = ch.kraus()
-        for b in self.branches:
-            if b.records.get(register) == value:
-                acc = None
-                for k in kraus:
-                    term = _apply_matrix(b.rho, self.dims, k, axes, in_dims, in_dims)
-                    acc = term if acc is None else acc + term
-                b.rho = acc
-
-    def _check_record(self, register: str) -> None:
-        if not any(register == r for r, _, _ in self.measurement_log):
-            raise ChannelError(f"condition references unmeasured register {register!r}")
+        self._apply(ch.superop(), False, wires, condition=(register, value))
 
     def reset(self, wire: int) -> None:
-        """Reinitialize a wire to |0> via the reset channel."""
-        ax = self.axis_of(wire)
-        d = self.dims[ax]
-        kraus = []
-        for k in range(d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[0, k] = 1.0
-            kraus.append(m)
-        self.apply_kraus(kraus, [wire])
+        """Reinitialize a wire to |0>: trace it out to dimension 1, then prepare |0><0|."""
+        d = self.dims[self.axis_of(wire)]
+        prepare = np.zeros((d * d, 1), dtype=np.complex128)
+        prepare[0, 0] = 1.0
+        self._apply(np.eye(d, dtype=np.complex128).reshape(1, d * d), False, [wire], [1])
+        self._apply(prepare, False, [wire], [d])
 
     # -- readout -------------------------------------------------------------
 
@@ -241,8 +246,6 @@ class StateEngine:
         rho = self.mixed_state()
         axes = [self.axis_of(h) for h in wires]
         keep_sorted = sorted(axes)
-        from .linalg import partial_trace
-
         reduced = partial_trace(rho, self.dims, keep=keep_sorted)
         # reorder kept factors to the requested order
         order = [keep_sorted.index(a) for a in axes]

@@ -510,7 +510,11 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
     """
     from .circuits import extract_channel
 
+    evaluations = 0
+
     def fidelity_of(theta: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
         c = circuit_builder(theta)
         if hw is not None:
             c = apply_noise_model(c, hw)
@@ -530,7 +534,7 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
     return TailoringRecipe(
         method="tailored-circuit", achieved_fidelity=best_f,
         circuit_params={"theta": best_theta},
-        evaluations=grid + 30,
+        evaluations=evaluations,
         details={"grid": grid, "range": theta_range},
     )
 

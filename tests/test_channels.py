@@ -26,6 +26,7 @@ from channel_forge.noise import (
     dephasing,
     depolarizing,
     depolarizing_white,
+    erasure,
     pauli_conjugations,
 )
 
@@ -116,6 +117,23 @@ def test_superop_composition_homomorphism():
         b = random_channel(2, 3, RNG)
         comp = compose(b, a)
         assert np.max(np.abs(comp.superop() - b.superop() @ a.superop())) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_rectangular_superop_matches_kraus(p):
+    ch = erasure(p)
+    s = ch.superop()
+    assert s.shape == (9, 4)
+    assert np.max(np.abs(s - kraus_to_superop(ch.kraus()))) < 1e-12
+
+
+def test_compose_rectangular_after_square():
+    rho = random_density_matrix(2, RNG)
+    er, ad = erasure(0.1), amplitude_damping(0.1)
+    both = compose(er, ad)
+    assert (both.dim_in, both.dim_out) == (2, 3)
+    assert np.max(np.abs(both.apply(rho) - er.apply(ad.apply(rho)))) < 1e-12
+    assert validate_cptp(both).passed
 
 
 def test_reshuffle_involution_and_identity_form():

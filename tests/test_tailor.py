@@ -189,6 +189,17 @@ def test_theta_tailor_with_noise_beats_naive():
     assert rec.achieved_fidelity >= naive_f - 1e-12
 
 
+def test_theta_tailor_reports_counted_evaluations():
+    calls = []
+
+    def builder(theta):
+        calls.append(theta)
+        return build_ad_circuit(theta)
+
+    rec = theta_tailor(amplitude_damping(0.3), builder, grid=7)
+    assert rec.evaluations == len(calls) > 7
+
+
 # -- full-circuit tailoring --------------------------------------------------------
 
 
