@@ -23,13 +23,18 @@ import numpy as np
 from .linalg import (
     PSD_EIGENVALUE_FLOOR,
     RANK_CUTOFF,
+    ChannelError,
     as_complex,
     dagger,
+    decode_complex,
+    decode_real,
+    encode_complex,
     hermitian_eigensystem,
     is_hermitian,
     matrix_rank_by_cutoff,
     min_eigenvalue,
     partial_trace,
+    read_field,
     reshuffle,
     uhlmann_fidelity,
 )
@@ -37,10 +42,6 @@ from .linalg import (
 TRACE_ATOL = 1e-10
 
 MAX_DIMENSION = 256
-
-
-class ChannelError(ValueError):
-    """Raised for invalid channel data (CP or TP violations, bad dims)."""
 
 
 def _check_dims(dim_in: int, dim_out: int) -> None:
@@ -78,6 +79,8 @@ class Channel:
         expected = dim_in * dim_out
         if choi.shape != (expected, expected):
             raise ChannelError(f"choi shape {choi.shape} does not match dims ({dim_out}*{dim_in})^2")
+        if not np.all(np.isfinite(choi)):
+            raise ChannelError("choi matrix has non-finite entries")
         ch = cls(dim_in=dim_in, dim_out=dim_out, choi=choi)
         if validate:
             report = validate_cptp(ch)
@@ -88,18 +91,8 @@ class Channel:
     @classmethod
     def from_kraus(cls, operators: Iterable[np.ndarray], atol: float = TRACE_ATOL) -> "Channel":
         """Build from Kraus operators {K_i}; checks sum K^dag K = 1."""
-        ops = [as_complex(k) for k in operators]
-        if not ops:
-            raise ChannelError("empty Kraus set")
+        ops = check_kraus(operators, atol)
         dim_out, dim_in = ops[0].shape
-        _check_dims(dim_in, dim_out)
-        for k in ops:
-            if k.shape != (dim_out, dim_in):
-                raise ChannelError(f"inconsistent Kraus shapes: {k.shape} vs {(dim_out, dim_in)}")
-        completeness = sum(dagger(k) @ k for k in ops)
-        dev = float(np.max(np.abs(completeness - np.eye(dim_in))))
-        if dev > atol:
-            raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
         choi = np.zeros((dim_out * dim_in,) * 2, dtype=np.complex128)
         for k in ops:
             v = k.reshape(-1)
@@ -123,11 +116,7 @@ class Channel:
     @classmethod
     def from_unitary(cls, u) -> "Channel":
         """Conjugation channel rho -> U rho U^dag."""
-        u = as_complex(u)
-        d = u.shape[0]
-        if u.shape != (d, d) or np.max(np.abs(dagger(u) @ u - np.eye(d))) > 1e-10:
-            raise ChannelError("from_unitary requires a square unitary matrix")
-        return cls.from_kraus([u])
+        return cls.from_kraus([check_unitary(u)])
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -211,16 +200,6 @@ class CPTPReport:
         )
 
 
-def kraus_to_choi(operators: Sequence[np.ndarray]) -> Channel:
-    """Channel from a Kraus set (completeness checked)."""
-    return Channel.from_kraus(operators)
-
-
-def choi_to_kraus(ch: Channel) -> list[np.ndarray]:
-    """Minimal Kraus operators of a channel."""
-    return ch.kraus()
-
-
 def kraus_to_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
     """Liouville superoperator sum_i K_i (x) conj(K_i) (row-major vectorization)."""
     ops = [as_complex(k) for k in operators]
@@ -231,9 +210,41 @@ def kraus_to_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
     return s
 
 
-def superop_choi_reshuffle(m: np.ndarray) -> np.ndarray:
-    """Pure index reshuffle between Liouville and Choi layouts (no d factor)."""
-    return reshuffle(m)
+def check_kraus(operators: Iterable[np.ndarray], atol: float = TRACE_ATOL) -> list[np.ndarray]:
+    """The operators as complex matrices; ChannelError unless they are a
+    non-empty set of one shape with ``sum K^dag K = 1`` within ``atol``."""
+    ops = [as_complex(k) for k in operators]
+    if not ops:
+        raise ChannelError("empty Kraus set")
+    dim_out, dim_in = ops[0].shape
+    _check_dims(dim_in, dim_out)
+    for k in ops:
+        if k.shape != (dim_out, dim_in):
+            raise ChannelError(f"inconsistent Kraus shapes: {k.shape} vs {(dim_out, dim_in)}")
+    dev = float(np.max(np.abs(sum(dagger(k) @ k for k in ops) - np.eye(dim_in))))
+    if not dev <= atol:  # NaN fails too
+        raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
+    return ops
+
+
+def check_unitary(u) -> np.ndarray:
+    """``u`` as a complex matrix; ChannelError unless it is square and unitary within 1e-10."""
+    u = as_complex(u)
+    square = u.ndim == 2 and u.size and u.shape[0] == u.shape[1]
+    if not (square and np.max(np.abs(dagger(u) @ u - np.eye(len(u)))) <= 1e-10):
+        raise ChannelError(f"matrix of shape {u.shape} is not a square unitary within 1e-10")
+    return u
+
+
+def check_probabilities(probs, what: str) -> np.ndarray:
+    """``probs`` as a float array; ChannelError unless every entry is finite and
+    >= -1e-12 and they sum to 1 within 1e-12."""
+    probs = decode_real(probs, f"{what} probabilities")
+    if np.any(probs < -1e-12):
+        raise ChannelError(f"negative {what} probability: {probs.min():.3e}")
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise ChannelError(f"{what} probabilities sum to {probs.sum()!r}, expected 1")
+    return probs
 
 
 def compose(second: Channel, first: Channel) -> Channel:
@@ -267,11 +278,7 @@ def mix(channels: Sequence[Channel], probs: Sequence[float]) -> Channel:
         raise ChannelError("channels and probs length mismatch")
     if not channels:
         raise ChannelError("cannot mix an empty list")
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < -1e-12):
-        raise ChannelError(f"negative mixture probability: {probs.min():.3e}")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ChannelError(f"mixture probabilities sum to {probs.sum()!r}, expected 1")
+    probs = check_probabilities(probs, "mixture")
     dim_in, dim_out = channels[0].dim_in, channels[0].dim_out
     choi = np.zeros_like(channels[0].choi)
     for p, ch in zip(probs, channels):
@@ -279,11 +286,6 @@ def mix(channels: Sequence[Channel], probs: Sequence[float]) -> Channel:
             raise ChannelError("all mixed channels must share dimensions")
         choi += p * ch.choi
     return Channel(dim_in=dim_in, dim_out=dim_out, choi=choi)
-
-
-def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel to a state."""
-    return ch.apply(rho)
 
 
 def choi_fidelity(a: Channel, b: Channel) -> float:
@@ -351,6 +353,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
 def validate_density(rho: np.ndarray, atol_trace: float = 1e-10) -> None:
     """Raise unless rho is Hermitian, unit trace, and PSD within tolerances."""
     rho = as_complex(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise ChannelError(f"density matrix of shape {rho.shape} is not a non-empty square matrix")
     if not is_hermitian(rho):
         raise ChannelError("density matrix is not Hermitian within 1e-12")
     tr = float(np.trace(rho).real)
@@ -366,21 +370,17 @@ def validate_density(rho: np.ndarray, atol_trace: float = 1e-10) -> None:
 
 def channel_to_dict(ch: Channel) -> dict:
     """JSON-friendly channel representation (row-major real/imag parts)."""
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "choi_re": ch.choi.real.tolist(),
-        "choi_im": ch.choi.imag.tolist(),
-        "normalization": "trace1",
-    }
+    return {"dim_in": ch.dim_in, "dim_out": ch.dim_out, **encode_complex(ch.choi, "choi"),
+            "normalization": "trace1"}
 
 
 def channel_from_dict(data: dict, validate: bool = True) -> Channel:
     """Inverse of :func:`channel_to_dict`."""
-    if data.get("normalization", "trace1") != "trace1":
-        raise ChannelError(f"unsupported Choi normalization {data.get('normalization')!r}")
-    choi = np.asarray(data["choi_re"], dtype=float) + 1j * np.asarray(data["choi_im"], dtype=float)
-    return Channel.from_choi(choi, int(data["dim_in"]), int(data["dim_out"]), validate=validate)
+    norm = read_field(data, "normalization", str, "trace1")
+    if norm != "trace1":
+        raise ChannelError(f"unsupported Choi normalization {norm!r}")
+    return Channel.from_choi(decode_complex(data, "choi"), read_field(data, "dim_in", int),
+                             read_field(data, "dim_out", int), validate=validate)
 
 
 def channel_to_json(ch: Channel) -> str:

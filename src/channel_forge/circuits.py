@@ -9,15 +9,17 @@ mixtures, so there is no sampling anywhere in the simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, ChannelError, mix, validate_cptp
-from .engine import StateEngine, permute_factors
-from .linalg import as_complex, max_entangled_ket
-from .noise import PAULI_X, PAULI_Y, PAULI_Z
+from .channels import Channel, ChannelError, channel_to_dict, check_unitary, mix
+from .engine import MAX_TOTAL_DIMENSION, StateEngine, permute_factors
+from .linalg import (as_complex, decode_complex, encode_complex, max_entangled_ket, parse_each,
+                     read_field)
+from .noise import PAULI_X, PAULI_Y, PAULI_Z, channel_from_entry
 
 # -- named gates --------------------------------------------------------------
 
@@ -57,24 +59,39 @@ def controlled_ry(theta: float) -> np.ndarray:
 
 def shift_operator(dim: int) -> np.ndarray:
     """Cyclic lowering shift X_D with X_D |j> = |(j-1) mod D>."""
+    if not 1 <= dim <= MAX_TOTAL_DIMENSION:
+        raise ChannelError(f"shift dimension {dim} is outside [1, {MAX_TOTAL_DIMENSION}]")
     m = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
         m[(j - 1) % dim, j] = 1.0
     return m
 
 
+# name -> (builder, the (parameter, type) pairs it takes)
 GATE_BUILDERS = {
-    "ry": lambda **kw: ry(kw["theta"]),
-    "rx": lambda **kw: rx(kw["theta"]),
-    "rz": lambda **kw: rz(kw["theta"]),
-    "x": lambda **kw: PAULI_X,
-    "y": lambda **kw: PAULI_Y,
-    "z": lambda **kw: PAULI_Z,
-    "h": lambda **kw: hadamard(),
-    "cnot": lambda **kw: cnot(),
-    "cry": lambda **kw: controlled_ry(kw["theta"]),
-    "shift": lambda **kw: shift_operator(kw["dim"]),
+    "ry": (ry, (("theta", float),)),
+    "rx": (rx, (("theta", float),)),
+    "rz": (rz, (("theta", float),)),
+    "x": (lambda: PAULI_X, ()),
+    "y": (lambda: PAULI_Y, ()),
+    "z": (lambda: PAULI_Z, ()),
+    "h": (hadamard, ()),
+    "cnot": (cnot, ()),
+    "cry": (controlled_ry, (("theta", float),)),
+    "shift": (shift_operator, (("dim", int),)),
 }
+
+
+def gate_from_entry(entry: dict) -> np.ndarray:
+    """The unitary of a JSON gate entry: an explicit ``matrix_re``/``matrix_im``
+    (unitary within 1e-10) or a known ``name`` with its parameters."""
+    if "matrix_re" in entry:
+        return check_unitary(decode_complex(entry, "matrix"))
+    name = read_field(entry, "name", str, "")
+    if name not in GATE_BUILDERS:
+        raise ChannelError(f"gate entry needs a known name or an explicit matrix, got {name!r}")
+    builder, params = GATE_BUILDERS[name]
+    return as_complex(builder(*[read_field(entry, key, kind) for key, kind in params]))
 
 
 # -- circuit elements ---------------------------------------------------------
@@ -144,9 +161,10 @@ class Circuit:
         return self.data_wires if self.data_wires is not None else tuple(range(len(self.wires)))
 
     def _check_wires(self, wires: Sequence[int]) -> tuple[int, ...]:
+        n = len(self.wires)
         for w in wires:
-            if not 0 <= w < len(self.wires):
-                raise ChannelError(f"wire index {w} out of range for {len(self.wires)} wires")
+            if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or not 0 <= w < n:
+                raise ChannelError(f"wire {w!r} is not an index in [0, {n})")
         if len(set(wires)) != len(wires):
             raise ChannelError(f"repeated wire in {wires}")
         return tuple(wires)
@@ -162,12 +180,14 @@ class Circuit:
         self.elements.append(Gate(unitary=unitary, wires=wires, name=name))
         return self
 
-    def channel(self, ch: Channel, wires: Sequence[int], name: str = "") -> "Circuit":
+    def channel(self, ch: Channel, wires: Sequence[int], name: str = "", is_noise: bool = False,
+                condition: tuple[str, int] | None = None) -> "Circuit":
         wires = self._check_wires(wires)
         d = int(np.prod([self.wires[w][1] for w in wires]))
         if ch.dim_in != d or ch.dim_out != d:
             raise ChannelError(f"channel dims ({ch.dim_in},{ch.dim_out}) do not match wires {wires}")
-        self.elements.append(ChannelOp(channel=ch, wires=wires, name=name))
+        self.elements.append(ChannelOp(channel=ch, wires=wires, is_noise=is_noise,
+                                       condition=condition, name=name))
         return self
 
     def measure(self, wire: int, register: str) -> "Circuit":
@@ -282,11 +302,7 @@ def simulate(circuit: Circuit, rho_in: np.ndarray,
     Returns the exact mixed state over the wires still live at the end, in
     ascending wire order.
     """
-    data = tuple(data_wires) if data_wires is not None else circuit.data()
-    engine, handle_of, _ = _initial_engine(circuit, rho_in, data)
-    _run_elements(engine, circuit, handle_of)
-    live = sorted(handle_of)
-    return engine.reduced_state([handle_of[w] for w in live])
+    return simulate_detailed(circuit, rho_in, data_wires)[0]
 
 
 def simulate_detailed(circuit: Circuit, rho_in: np.ndarray,
@@ -330,10 +346,7 @@ def extract_channel(circuit: Circuit, data_wires: Sequence[int] | None = None) -
     order = [handle_of[w] for w in data] + list(ref_handles)
     choi = engine.reduced_state(order)
     out_dim = choi.shape[0] // d
-    ch = Channel.from_choi(choi, dim_in=d, dim_out=out_dim, validate=False)
-    report = validate_cptp(ch)
-    if not report.passed:
-        raise ChannelError(f"extracted map is not CPTP: {report}")
+    ch = Channel.from_choi(choi, dim_in=d, dim_out=out_dim)
     return ProcessResult(channel=ch, branch_log=engine.branch_summary())
 
 
@@ -392,12 +405,8 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     for el in circuit.elements:
         if isinstance(el, Gate):
             elements.append({"type": "gate", "name": el.name or "matrix",
-                             "wires": list(el.wires),
-                             "matrix_re": el.unitary.real.tolist(),
-                             "matrix_im": el.unitary.imag.tolist()})
+                             "wires": list(el.wires), **encode_complex(el.unitary, "matrix")})
         elif isinstance(el, ChannelOp):
-            from .channels import channel_to_dict
-
             entry = {"type": "channel", "wires": list(el.wires),
                      "channel": channel_to_dict(el.channel), "is_noise": el.is_noise}
             if el.name:
@@ -410,9 +419,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         elif isinstance(el, ConditionalGate):
             elements.append({"type": "conditional_gate", "name": el.name or "matrix",
                              "wires": list(el.wires), "register": el.register,
-                             "value": el.value,
-                             "matrix_re": el.unitary.real.tolist(),
-                             "matrix_im": el.unitary.imag.tolist()})
+                             "value": el.value, **encode_complex(el.unitary, "matrix")})
         elif isinstance(el, Reset):
             elements.append({"type": "reset", "wire": el.wire})
         elif isinstance(el, TraceOut):
@@ -424,53 +431,39 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
-def _element_unitary(entry: dict) -> np.ndarray:
-    if "matrix_re" in entry:
-        return (np.asarray(entry["matrix_re"], dtype=float)
-                + 1j * np.asarray(entry.get("matrix_im",
-                                            np.zeros_like(entry["matrix_re"])), dtype=float))
-    name = entry.get("name", "")
-    if name in GATE_BUILDERS:
-        params = {k: v for k, v in entry.items()
-                  if k not in ("type", "name", "wires", "register", "value")}
-        return as_complex(GATE_BUILDERS[name](**params))
-    raise ChannelError(f"gate entry needs a known name or an explicit matrix: {entry}")
+def _add_element(c: Circuit, entry: dict) -> None:
+    etype = read_field(entry, "type", str)
+    name = read_field(entry, "name", str, "")
+    if etype == "gate":
+        c.gate(gate_from_entry(entry), read_field(entry, "wires", list), name=name)
+    elif etype == "channel":
+        cond = read_field(entry, "condition", dict, None)
+        c.channel(channel_from_entry(entry), read_field(entry, "wires", list), name=name,
+                  is_noise=read_field(entry, "is_noise", bool, False),
+                  condition=None if cond is None else (read_field(cond, "register", str),
+                                                       read_field(cond, "value", int)))
+    elif etype == "measure":
+        c.measure(read_field(entry, "wire", int), read_field(entry, "register", str))
+    elif etype == "conditional_gate":
+        c.conditional_gate(gate_from_entry(entry), read_field(entry, "wires", list),
+                           read_field(entry, "register", str), read_field(entry, "value", int),
+                           name=name)
+    elif etype in ("reset", "trace_out"):
+        (c.reset if etype == "reset" else c.trace_out)(read_field(entry, "wire", int))
+    else:
+        raise ChannelError(f"unknown circuit element type {etype!r}")
 
 
 def circuit_from_dict(data: dict) -> Circuit:
-    wires = [(w["label"], int(w["dim"])) for w in data["wires"]]
-    dw = tuple(data["data_wires"]) if "data_wires" in data else None
-    c = Circuit(wires=wires, data_wires=dw)
-    for entry in data.get("elements", []):
-        etype = entry["type"]
-        if etype == "gate":
-            c.gate(_element_unitary(entry), entry["wires"], name=entry.get("name", ""))
-        elif etype == "channel":
-            if "channel" in entry:
-                from .channels import channel_from_dict
-
-                ch = channel_from_dict(entry["channel"])
-            else:
-                from .noise import channel_by_name
-
-                params = {k: v for k, v in entry.items()
-                          if k not in ("type", "name", "wires", "is_noise", "condition")}
-                ch = channel_by_name(entry["name"], **params)
-            cond = entry.get("condition")
-            el = ChannelOp(channel=ch, wires=tuple(entry["wires"]),
-                           is_noise=bool(entry.get("is_noise", False)),
-                           condition=(cond["register"], cond["value"]) if cond else None,
-                           name=entry.get("name", ""))
-            c.elements.append(el)
-        elif etype == "measure":
-            c.measure(entry["wire"], entry["register"])
-        elif etype == "conditional_gate":
-            c.conditional_gate(_element_unitary(entry), entry["wires"],
-                               entry["register"], entry["value"], name=entry.get("name", ""))
-        elif etype == "reset":
-            c.reset(entry["wire"])
-        elif etype == "trace_out":
-            c.trace_out(entry["wire"])
-        else:
-            raise ChannelError(f"unknown circuit element type {etype!r}")
+    """Inverse of :func:`circuit_to_dict`; named gates and channels are also
+    accepted. Malformed input raises ChannelError, naming ``elements[i]``."""
+    wires = [(read_field(w, "label", str), read_field(w, "dim", int))
+             for w in read_field(data, "wires", list)]
+    if any(d < 1 for _, d in wires) or math.prod(d for _, d in wires) > MAX_TOTAL_DIMENSION:
+        raise ChannelError(f"wire dims must be positive with a product of at most "
+                           f"{MAX_TOTAL_DIMENSION}, got {[d for _, d in wires]}")
+    c = Circuit(wires=wires)
+    if "data_wires" in data:
+        c.data_wires = c._check_wires(read_field(data, "data_wires", list))
+    parse_each(read_field(data, "elements", list, []), lambda e: _add_element(c, e), "elements")
     return c

@@ -8,12 +8,15 @@ error. Verbosity via the CHANNEL_FORGE_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import logging
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -21,16 +24,19 @@ from . import figures as fig
 from .channels import (
     Channel,
     ChannelError,
-    channel_from_json,
+    channel_from_dict,
     channel_to_dict,
     choi_fidelity,
     random_channel,
     validate_cptp,
+    validate_density,
 )
+from .circuits import circuit_from_dict, simulate_detailed
 from .dilation import extended_qudit_routine, routine_to_dict, stinespring_dilate
+from .linalg import decode_complex, encode_complex
 from .netsim import run_scenario, scenario_from_dict
-from .noise import channel_by_name
-from .tailor import OptimizerConfig
+from .noise import CHANNEL_PARAMS, channel_by_name
+from .tailor import OptimizerConfig, run_tailoring_job
 
 log = logging.getLogger("channel_forge")
 
@@ -45,20 +51,19 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _output(out: str | None):
+    """The file ``out`` opened for writing, or stdout (left open) when it is not given."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+def _emit_json(payload, out: str | None, indent: int | None = None) -> None:
+    """Stream ``payload`` as JSON plus a newline in joined batches of encoder chunks:
+    no whole text in memory, at the speed of ``json.dumps`` (``json.dump`` is slower)."""
+    chunks = json.JSONEncoder(indent=indent, default=float).iterencode(payload)
+    with _output(out) as fh:
+        while batch := "".join(itertools.islice(chunks, 1 << 16)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -67,20 +72,14 @@ def rows_to_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_format_value(row[k]) for k in header])
+        writer.writerow([f"{row[k]:.12g}" if isinstance(row[k], float) else str(row[k])
+                         for k in header])
     return buf.getvalue()
 
 
-def _emit_rows(rows: list[dict], out: str | None, fmt: str) -> None:
-    if fmt == "csv":
-        _emit(rows_to_csv(rows), out)
-    else:
-        _emit(json.dumps(rows, indent=2, default=float) + "\n", out)
-
-
 def _load_config_file(path: str) -> dict:
-    with open(path, "rb") as fh:
-        head = fh.read()
+    """A JSON (or ``.toml``) file whose top level is an object."""
+    loads = json.loads
     if path.endswith(".toml"):
         try:
             import tomllib  # Python 3.11+
@@ -89,21 +88,31 @@ def _load_config_file(path: str) -> dict:
                 import tomli as tomllib
             except ImportError as exc:
                 raise ChannelError("TOML configs need Python 3.11+ or tomli; use JSON") from exc
-        return tomllib.loads(head.decode("utf-8"))
-    return json.loads(head.decode("utf-8"))
+        loads = tomllib.loads
+    with open(path, "rb") as fh:
+        head = fh.read()
+    try:
+        data = loads(head.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, TOMLDecodeError
+        raise ChannelError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ChannelError(f"{path}: top level must be an object, got {type(data).__name__}")
+    return data
 
 
-def _load_channel_arg(spec: str) -> Channel:
+def _load_channel_arg(spec: str, validate: bool = True) -> Channel:
     """A channel argument is a JSON file path or name:param=value[,...]."""
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return channel_from_json(fh.read(), validate=False)
+        return channel_from_dict(_load_config_file(spec), validate=validate)
     if ":" in spec:
         name, _, rest = spec.partition(":")
         params = {}
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            params[key] = float(val)
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ChannelError(f"channel spec {spec!r}: {val!r} is not a number") from None
         return channel_by_name(name, **params)
     raise ChannelError(f"channel spec {spec!r} is neither a file nor name:param=value")
 
@@ -113,34 +122,28 @@ def _load_channel_arg(spec: str) -> Channel:
 
 def cmd_channel(args) -> int:
     if args.channel_cmd == "build":
-        params = {}
-        for key in ("p", "q", "gamma", "p_prime"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
+        params = {k: getattr(args, k) for k in CHANNEL_PARAMS if getattr(args, k) is not None}
         ch = channel_by_name(args.name, **params)
-        _emit(json.dumps(channel_to_dict(ch)) + "\n", args.out)
+        _emit_json(channel_to_dict(ch), args.out)
         return EXIT_OK
     if args.channel_cmd == "convert":
         ch = _load_channel_arg(args.input)
         if args.to == "kraus":
-            data = {"kraus_re": [k.real.tolist() for k in ch.kraus()],
-                    "kraus_im": [k.imag.tolist() for k in ch.kraus()]}
+            data = encode_complex(ch.kraus(), "kraus")
         elif args.to == "superop":
-            s = ch.superop()
-            data = {"superop_re": s.real.tolist(), "superop_im": s.imag.tolist()}
+            data = encode_complex(ch.superop(), "superop")
         else:
             data = channel_to_dict(ch)
-        _emit(json.dumps(data) + "\n", args.out)
+        _emit_json(data, args.out)
         return EXIT_OK
     if args.channel_cmd == "fidelity":
         a = _load_channel_arg(args.first)
         b = _load_channel_arg(args.second)
-        f = choi_fidelity(a, b)
-        _emit(json.dumps({"fidelity": f}) + "\n", args.out)
+        _emit_json({"fidelity": choi_fidelity(a, b)}, args.out)
         return EXIT_OK
     if args.channel_cmd == "validate":
-        ch = _load_channel_arg(args.input)
+        # reporting on an invalid channel is this command's job
+        ch = _load_channel_arg(args.input, validate=False)
         report = validate_cptp(ch)
         payload = {
             "passed": report.passed,
@@ -148,7 +151,7 @@ def cmd_channel(args) -> int:
             "trace_preservation_residual": report.trace_preservation_residual,
             "choi_trace_residual": report.choi_trace_residual,
         }
-        _emit(json.dumps(payload) + "\n", args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK if report.passed else EXIT_NUMERICAL
     raise ChannelError(f"unknown channel subcommand {args.channel_cmd!r}")
 
@@ -170,53 +173,43 @@ def cmd_dilate(args) -> int:
         payload = {
             "mode": "ancilla",
             "ancilla_dim": dil.ancilla_dim,
-            "unitary_re": dil.unitary.real.tolist(),
-            "unitary_im": dil.unitary.imag.tolist(),
+            **encode_complex(dil.unitary, "unitary"),
             "overhead_qubits": dil.overhead(),
         }
-        overhead = dil.overhead()
     else:
-        routine = extended_qudit_routine(kraus)
-        payload = {"mode": "qudit", **routine_to_dict(routine)}
-        overhead = routine.overhead()
-    _emit(json.dumps(payload) + "\n", args.out)
+        payload = {"mode": "qudit", **routine_to_dict(extended_qudit_routine(kraus))}
+    _emit_json(payload, args.out)
     if args.out:
-        print(f"overhead_qubits {overhead:.12g}")
+        print(f"overhead_qubits {payload['overhead_qubits']:.12g}")
     return EXIT_OK
 
 
 # -- figures subcommand -----------------------------------------------------------
 
 
+# sweep -> (first value, last value, number of values; None takes --grid)
+_SWEEPS = {"fig5a": (0.80, 1.00, 11), "fig5b": (0.0, 1.0, None), "fig6a": (0.05, 0.95, None),
+           "fig6b": (0.05, 0.95, None), "fig6c": (0.0, 1.0, None)}
+
+
 def _figure_rows(args) -> list[dict]:
-    name = args.figure
+    if args.figure == "fig7c":
+        return fig.fig7c_rows(grid=args.grid)
+    first, last, count = _SWEEPS[args.figure]
     opt = OptimizerConfig(restarts=args.restarts, max_evals_per_restart=args.evals,
                           seed=args.seed)
-    if name == "fig7c":
-        return fig.fig7c_rows(grid=args.grid)
-    if name == "fig5a":
-        values = list(np.linspace(0.80, 1.00, 11))
-        runner = lambda v: fig.fig5a_rows([v], seed=args.seed, optimizer=opt)
-    elif name == "fig5b":
-        values = list(np.linspace(0.0, 1.0, args.grid))
-        runner = lambda v: fig.fig5b_rows([v], seed=args.seed, optimizer=opt)
-    elif name == "fig6a":
-        values = list(np.linspace(0.05, 0.95, args.grid))
-        runner = lambda v: fig.fig6a_rows([v])
-    elif name == "fig6b":
-        values = list(np.linspace(0.05, 0.95, args.grid))
-        runner = lambda v: fig.fig6b_rows([v], seed=args.seed, optimizer=opt)
-    elif name == "fig6c":
-        values = list(np.linspace(0.0, 1.0, args.grid))
-        runner = lambda v: fig.fig6c_rows([v], seed=args.seed, optimizer=opt)
-    else:
-        raise ChannelError(f"unknown figure {name!r}; known: {sorted(fig.FIGURES)}")
-    return [row for v in values for row in runner(v)]
+    kwargs = {} if args.figure == "fig6a" else {"seed": args.seed, "optimizer": opt}
+    return [row for v in np.linspace(first, last, count or args.grid)
+            for row in fig.FIGURES[args.figure]([v], **kwargs)]
 
 
 def cmd_figures(args) -> int:
     rows = _figure_rows(args)
-    _emit_rows(rows, args.out, args.format)
+    if args.format == "json":
+        _emit_json(rows, args.out, indent=2)
+    else:
+        with _output(args.out) as fh:
+            fh.write(rows_to_csv(rows))
     return EXIT_OK
 
 
@@ -224,41 +217,33 @@ def cmd_figures(args) -> int:
 
 
 def cmd_tailor(args) -> int:
-    from .tailor import run_tailoring_job
-
     config = _load_config_file(args.config)
-    if args.seed is not None:
-        config.setdefault("seed", args.seed)
+    config.setdefault("seed", args.seed)
     result = run_tailoring_job(config)
-    _emit(json.dumps(result, indent=2, default=float) + "\n", args.out)
-    if result.get("feasible") is False:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    _emit_json(result, args.out, indent=2)
+    return EXIT_NUMERICAL if result.get("feasible") is False else EXIT_OK
 
 
 # -- simulate subcommand ----------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    from .circuits import circuit_from_dict, simulate_detailed
-
     circuit = circuit_from_dict(_load_config_file(args.circuit))
     dims = circuit.wire_dims()
     data = circuit.data()
     d = int(np.prod([dims[w] for w in data]))
-    if args.state is None:
+    if args.state is None or args.state.isdigit():
+        index = int(args.state or 0)
+        if index >= d:
+            raise ChannelError(f"basis state {index} out of range for dimension {d}")
         rho = np.zeros((d, d), dtype=np.complex128)
-        rho[0, 0] = 1.0
-    elif args.state.isdigit():
-        rho = np.zeros((d, d), dtype=np.complex128)
-        rho[int(args.state), int(args.state)] = 1.0
+        rho[index, index] = 1.0
     else:
-        data_dict = _load_config_file(args.state)
-        rho = (np.asarray(data_dict["re"], dtype=float)
-               + 1j * np.asarray(data_dict.get("im", np.zeros_like(data_dict["re"])), dtype=float))
+        rho = decode_complex(_load_config_file(args.state), "", (d, d))
+        validate_density(rho)
     rho_out, branches = simulate_detailed(circuit, rho)
     payload = {
-        "state": {"re": rho_out.real.tolist(), "im": rho_out.imag.tolist()},
+        "state": encode_complex(rho_out, ""),
         "branches": [{"records": rec, "prob": prob} for rec, prob in branches],
     }
     if args.samples:
@@ -267,14 +252,11 @@ def cmd_simulate(args) -> int:
         probs = np.array([p for _, p in branches])
         probs = probs / probs.sum()
         draws = rng.choice(len(branches), size=args.samples, p=probs)
-        counts = {}
-        for idx in draws:
-            key = json.dumps(branches[idx][0], sort_keys=True)
-            counts[key] = counts.get(key, 0) + 1
-        payload["sampled_counts"] = counts
+        payload["sampled_counts"] = dict(Counter(json.dumps(branches[i][0], sort_keys=True)
+                                                 for i in draws))
         payload["samples"] = args.samples
         payload["seed"] = args.seed
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out, indent=2)
     return EXIT_OK
 
 
@@ -287,22 +269,30 @@ def cmd_netsim(args) -> int:
     report = run_scenario(scenario)
     payload = {
         "fidelities": report.fidelities,
-        "states": {name: {"re": rho.real.tolist(), "im": rho.imag.tolist()}
-                   for name, rho in report.states.items()},
+        "states": {name: encode_complex(rho, "") for name, rho in report.states.items()},
         "branches": [{"records": rec, "prob": prob} for rec, prob in report.branch_log],
         "final_trace": report.final_trace,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out, indent=2)
     return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------------
 
 
+def _int_from(lo: int):
+    """argparse type: an integer >= lo (anything else is a usage error, exit 2)."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"{text} is below {lo}")
+        return int(text)
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="channel-forge",
                                      description="quantum-channel engineering toolkit")
-    parser.add_argument("--seed", type=int, default=0, help="rng seed for stochastic modes")
+    parser.add_argument("--seed", type=_int_from(0), default=0, help="rng seed for stochastic modes")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_dilate = sub.add_parser("dilate", help="synthesize channel realizations")
     p_dilate.add_argument("--in", dest="input", default=None)
     p_dilate.add_argument("--mode", choices=("ancilla", "qudit"), default="ancilla")
-    p_dilate.add_argument("--random-rank", type=int, default=None,
+    p_dilate.add_argument("--random-rank", type=_int_from(1), default=None,
                           help="dilate a random channel of this Kraus rank instead")
-    p_dilate.add_argument("--random-dim", type=int, default=2)
+    p_dilate.add_argument("--random-dim", type=_int_from(1), default=2)
 
     p_fig = sub.add_parser("figures", help="emit figure sweep data")
     p_fig.add_argument("figure", choices=sorted(fig.FIGURES))
-    p_fig.add_argument("--grid", type=int, default=20)
-    p_fig.add_argument("--restarts", type=int, default=3)
-    p_fig.add_argument("--evals", type=int, default=1200)
+    p_fig.add_argument("--grid", type=_int_from(1), default=20)
+    p_fig.add_argument("--restarts", type=_int_from(1), default=3)
+    p_fig.add_argument("--evals", type=_int_from(1), default=1200)
 
     p_tailor = sub.add_parser("tailor", help="run a tailoring job config")
     p_tailor.add_argument("--config", required=True)
@@ -344,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("circuit")
     p_sim.add_argument("--state", default=None,
                        help="basis index or state JSON file (default |0...0>)")
-    p_sim.add_argument("--samples", type=int, default=0,
+    p_sim.add_argument("--samples", type=_int_from(0), default=0,
                        help="draw this many outcomes from the exact branch distribution")
 
     p_net = sub.add_parser("netsim", help="run a network scenario file")
@@ -371,11 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "netsim":
             return cmd_netsim(args)
         parser.error(f"unknown command {args.command!r}")
-    except ChannelError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (ChannelError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

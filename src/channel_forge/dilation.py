@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ChannelError
+from .channels import Channel, ChannelError, check_kraus, check_unitary
+from .circuits import shift_operator
 from .linalg import (
     RANK_CUTOFF,
     as_complex,
     complete_orthonormal_columns,
     dagger,
+    encode_complex,
     hermitian_sqrt,
     partial_trace,
 )
@@ -71,26 +73,14 @@ def stinespring_dilate(kraus_ops: list[np.ndarray]) -> StinespringDilation:
     first d columns of an (r*d x r*d) unitary; the rest are completed by
     pivoted Gram-Schmidt, so the construction is deterministic.
     """
-    ops = [as_complex(k) for k in kraus_ops]
-    if not ops:
-        raise ChannelError("empty Kraus set")
-    d_out, d_in = ops[0].shape
-    if d_out != d_in:
+    ops = check_kraus(kraus_ops)
+    d_out, d = ops[0].shape
+    if d_out != d:
         raise ChannelError("stinespring_dilate supports square channels only")
-    d = d_in
-    completeness = sum(dagger(k) @ k for k in ops)
-    dev = float(np.max(np.abs(completeness - np.eye(d))))
-    if dev > 1e-10:
-        raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
     r = len(ops)
     first_cols = np.vstack(ops)  # (r*d, d); row (i*d + k), col l holds <k|K_i|l>
     unitary = complete_orthonormal_columns(first_cols, r * d)
     return StinespringDilation(unitary=unitary, ancilla_dim=r, system_dim=d)
-
-
-def dilation_execute(dil: StinespringDilation, rho: np.ndarray) -> np.ndarray:
-    """Apply the dilated channel to a state."""
-    return dil.execute(rho)
 
 
 @dataclass(frozen=True)
@@ -184,19 +174,10 @@ def extended_qudit_routine(kraus_ops: list[np.ndarray]) -> QuditRoutine:
     (W_i (+) 1) X_D^{c_{i-1}}, with X_D the cyclic lowering shift. Zero Kraus
     operators contribute nothing and are skipped.
     """
-    from .circuits import shift_operator
-
-    ops = [as_complex(k) for k in kraus_ops]
-    if not ops:
-        raise ChannelError("empty Kraus set")
-    d_out, d_in = ops[0].shape
-    if d_out != d_in:
+    ops = check_kraus(kraus_ops)
+    d_out, d = ops[0].shape
+    if d_out != d:
         raise ChannelError("extended_qudit_routine supports square channels only")
-    d = d_in
-    completeness = sum(dagger(k) @ k for k in ops)
-    dev = float(np.max(np.abs(completeness - np.eye(d))))
-    if dev > 1e-10:
-        raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
 
     reduced = []  # (W_i, Ktilde_i, kappa_i)
     for k in ops:
@@ -231,11 +212,6 @@ def extended_qudit_routine(kraus_ops: list[np.ndarray]) -> QuditRoutine:
         corrections=tuple(corrections),
         branch_ranks=tuple(ranks),
     )
-
-
-def qudit_overhead(routine: QuditRoutine) -> float:
-    """Level overhead log2(D) - log2(d) of an extended-qudit routine."""
-    return routine.overhead()
 
 
 class NotMixedUnitary:
@@ -394,9 +370,8 @@ def projective_channel_routine(projectors: list[np.ndarray],
         acc += p
     if np.max(np.abs(acc - np.eye(d))) > 1e-10:
         raise ChannelError("projectors do not resolve the identity")
-    for u in corrs:
-        if np.max(np.abs(dagger(u) @ u - np.eye(d))) > 1e-10:
-            raise ChannelError("correction operator is not unitary")
+    if any(check_unitary(u).shape != (d, d) for u in corrs):
+        raise ChannelError("corrections must act on the projectors' space")
     return ProjectiveRoutine(projectors=tuple(projs), corrections=tuple(corrs))
 
 
@@ -405,14 +380,12 @@ def routine_to_dict(routine: QuditRoutine) -> dict:
     return {
         "total_dim": routine.total_dim,
         "data_dim": routine.data_dim,
-        "unitary_re": routine.unitary.real.tolist(),
-        "unitary_im": routine.unitary.imag.tolist(),
+        **encode_complex(routine.unitary, "unitary"),
         "projector_ranges": [
             [routine.boundaries[i], routine.boundaries[i + 1]]
             for i in range(routine.n_branches)
         ],
-        "corrections_re": [c.real.tolist() for c in routine.corrections],
-        "corrections_im": [c.imag.tolist() for c in routine.corrections],
+        **encode_complex(routine.corrections, "corrections"),
         "branch_ranks": list(routine.branch_ranks),
         "overhead_qubits": routine.overhead(),
     }

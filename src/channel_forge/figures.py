@@ -11,11 +11,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .channels import Channel, choi_fidelity, compose, mix
-from .circuits import Circuit, build_ad_circuit, cnot, controlled_ry, ry, rz
+from .circuits import Circuit, build_ad_circuit, cnot, controlled_ry, extract_channel, ry, rz
 from .noise import (
     BlockModel,
     GateModel,
     amplitude_damping,
+    apply_noise_model,
     bit_flip,
     dephasing,
     depolarizing,
@@ -192,9 +193,6 @@ def fig6a_rows(gammas=None, q: float = 0.925) -> list[dict]:
         target = amplitude_damping(float(g))
         ideal_theta = 2 * np.arcsin(np.sqrt(float(g)))
         rec = theta_tailor(target, lambda th: build_ad_circuit(th), hw)
-        from .circuits import extract_channel
-        from .noise import apply_noise_model
-
         naive = apply_noise_model(build_ad_circuit(ideal_theta), hw)
         naive_f = choi_fidelity(extract_channel(naive).channel, target)
         rows.append({

@@ -1,4 +1,6 @@
-"""Dense complex-matrix kernels shared by the channel machinery.
+"""Dense complex-matrix kernels shared by the channel machinery, and the
+checked readers (:func:`read_field`, :func:`decode_complex`) that every JSON
+input goes through.
 
 All matrices are plain ``numpy.ndarray`` with dtype complex128 and row-major
 (C-order) semantics. Vectorization is row-major throughout the package:
@@ -7,6 +9,7 @@ All matrices are plain ``numpy.ndarray`` with dtype complex128 and row-major
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +17,84 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 RANK_CUTOFF = 1e-12
+
+
+class ChannelError(ValueError):
+    """Invalid channel data (CP or TP violations, bad dims) or a malformed input file."""
+
+
+# -- JSON boundary ------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def read_field(data, key: str, kind: type, default=_REQUIRED):
+    """``data[key]`` checked to be a ``kind`` (bool, int, float: any finite number, str,
+    list or dict; a bool is only a bool), or ``default`` when missing; ChannelError
+    for a wrong type, a missing key without default, or ``data`` not an object."""
+    if not isinstance(data, dict):
+        raise ChannelError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ChannelError(f"missing field {key!r}")
+        return default
+    v = data[key]
+    if (not isinstance(v, (int, float) if kind is float else kind)
+            or isinstance(v, bool) != (kind is bool) or kind is float and not math.isfinite(v)):
+        raise ChannelError(f"field {key!r} must be a {kind.__name__}, got {v!r:.40}")
+    return float(v) if kind is float else v
+
+
+def parse_each(entries: list, parse, where: str) -> list:
+    """``[parse(e) for e in entries]``, a ChannelError naming ``where[i]``."""
+    out = []
+    for i, entry in enumerate(entries):
+        try:
+            out.append(parse(entry))
+        except ChannelError as exc:
+            raise ChannelError(f"{where}[{i}]: {exc}") from None
+    return out
+
+
+def decode_real(value, name: str) -> np.ndarray:
+    """``value`` (nested lists or an array) as a float array; ChannelError for
+    ragged, non-numeric (bools included) or non-finite entries."""
+    a = np.asarray(value, dtype=object)
+    numeric = (int, float, np.integer, np.floating)
+    if not all(issubclass(t, numeric) and t is not bool for t in set(map(type, a.flat))):
+        raise ChannelError(f"{name} must be a regular array of numbers")
+    try:
+        a = a.astype(float)
+    except OverflowError:
+        raise ChannelError(f"{name} has entries beyond the float range") from None
+    if not np.all(np.isfinite(a)):
+        raise ChannelError(f"{name} has non-finite entries")
+    return a
+
+
+def encode_complex(m, name: str) -> dict:
+    """``{"<name>_re": real part, "<name>_im": imaginary part}`` as nested
+    lists (``re``/``im`` for an empty name)."""
+    m = np.asarray(m)
+    return {f"{name}_re" if name else "re": m.real.tolist(),
+            f"{name}_im" if name else "im": m.imag.tolist()}
+
+
+def decode_complex(data, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Inverse of :func:`encode_complex`, bit-exact; a missing imaginary part is zero.
+    ChannelError for a missing real part, ragged, non-numeric or non-finite entries,
+    parts of different shapes, or a shape other than ``shape`` when one is given."""
+    key_re, key_im = (f"{name}_re", f"{name}_im") if name else ("re", "im")
+    if not isinstance(data, dict) or key_re not in data:
+        raise ChannelError(f"missing {key_re}")
+    re = decode_real(data[key_re], key_re)
+    im = decode_real(data[key_im], key_im) if key_im in data else np.zeros_like(re)
+    if im.shape != re.shape or shape is not None and re.shape != tuple(shape):
+        raise ChannelError(f"{key_re}/{key_im} shapes {re.shape}/{im.shape} do not match "
+                           f"{tuple(shape) if shape is not None else 'each other'}")
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 def as_complex(m) -> np.ndarray:
@@ -201,13 +282,6 @@ def max_entangled_ket(d: int) -> np.ndarray:
     """|Phi> = sum_i |i,i> / sqrt(d) over a d x d bipartite space."""
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> in dimension dim."""
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
     return v
 
 

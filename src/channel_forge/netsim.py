@@ -10,15 +10,17 @@ the scenario author, so no continuous-time stepping is ever performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, ChannelError
+from .channels import Channel, ChannelError, validate_density
+from .circuits import gate_from_entry
 from .engine import StateEngine
-from .linalg import as_complex, state_fidelity
-from .noise import channel_by_name
+from .linalg import as_complex, decode_complex, parse_each, read_field, state_fidelity
+from .noise import channel_from_entry
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,7 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
     for ev in scenario.events:
         if isinstance(ev, AddRegisters):
             dims = [d for _, d in ev.registers]
-            state = as_complex(ev.state) if ev.state is not None else None
-            handles = engine.add_wires(dims, state=state)
+            handles = engine.add_wires(dims, state=ev.state)
             for (name, _), h in zip(ev.registers, handles):
                 reg.add(name, h)
         elif isinstance(ev, RemoveRegisters):
@@ -147,8 +148,7 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
         elif isinstance(ev, ApplyGate):
             engine.apply_unitary(as_complex(ev.unitary), reg.get(ev.registers))
         elif isinstance(ev, ApplyChannel):
-            handles = reg.get(ev.registers)
-            engine.apply_channel(ev.channel, handles)
+            engine.apply_channel(ev.channel, reg.get(ev.registers))
         elif isinstance(ev, MeasureRegister):
             engine.measure(reg.get([ev.register])[0], ev.message)
             messages_seen.add(ev.message)
@@ -171,6 +171,9 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
         handles = reg.get(rep.registers)
         rho = engine.reduced_state(handles)
         if isinstance(rep, FidelityReport):
+            if rep.target_state.shape != rho.shape:
+                raise ChannelError(f"fidelity target {rep.name!r} has shape "
+                                   f"{rep.target_state.shape}, its registers {rho.shape}")
             fidelities[rep.name] = state_fidelity(rho, as_complex(rep.target_state))
         elif isinstance(rep, StateReport):
             states[rep.name] = rho
@@ -213,75 +216,68 @@ def resource_estimate(n: int, m: int, k: int) -> ResourceEstimate:
 # -- scenario files -------------------------------------------------------------
 
 
+def _register(entry: dict) -> tuple[str, int]:
+    name, dim = read_field(entry, "name", str), read_field(entry, "dim", int)
+    if dim < 1:
+        raise ChannelError(f"register {name!r} needs a positive dim, got {dim}")
+    return name, dim
+
+
+def _names(entry: dict, key: str) -> tuple[str, ...]:
+    names = read_field(entry, key, list)
+    if not all(isinstance(n, str) for n in names):
+        raise ChannelError(f"{key} must list register names, got {names!r:.40}")
+    return tuple(names)
+
+
+def _density(entry: dict, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    rho = decode_complex(entry, name, shape)
+    validate_density(rho)
+    return rho
+
+
 def _event_from_dict(entry: dict) -> Event:
-    etype = entry["type"]
+    etype = read_field(entry, "type", str)
     if etype == "add_registers":
-        regs = tuple((r["name"], int(r["dim"])) for r in entry["registers"])
-        state = None
-        if "state_re" in entry:
-            state = (np.asarray(entry["state_re"], dtype=float)
-                     + 1j * np.asarray(entry.get("state_im", 0.0 * np.asarray(entry["state_re"])), dtype=float))
+        regs = tuple(_register(r) for r in read_field(entry, "registers", list))
+        dim = math.prod(d for _, d in regs)
+        state = _density(entry, "state", (dim, dim)) if "state_re" in entry else None
         return AddRegisters(registers=regs, state=state)
     if etype == "remove_registers":
-        return RemoveRegisters(names=tuple(entry["names"]))
+        return RemoveRegisters(names=_names(entry, "names"))
     if etype == "apply_gate":
-        from .circuits import GATE_BUILDERS
-
-        if "matrix_re" in entry:
-            u = (np.asarray(entry["matrix_re"], dtype=float)
-                 + 1j * np.asarray(entry.get("matrix_im", 0.0 * np.asarray(entry["matrix_re"])), dtype=float))
-        else:
-            params = {k: v for k, v in entry.items() if k not in ("type", "name", "registers")}
-            u = GATE_BUILDERS[entry["name"]](**params)
-        return ApplyGate(unitary=u, registers=tuple(entry["registers"]))
+        return ApplyGate(unitary=gate_from_entry(entry), registers=_names(entry, "registers"))
     if etype == "apply_channel":
-        if "channel" in entry:
-            from .channels import channel_from_dict
-
-            ch = channel_from_dict(entry["channel"])
-        else:
-            params = {k: v for k, v in entry.items() if k not in ("type", "name", "registers")}
-            ch = channel_by_name(entry["name"], **params)
-        return ApplyChannel(channel=ch, registers=tuple(entry["registers"]))
+        return ApplyChannel(channel=channel_from_entry(entry), registers=_names(entry, "registers"))
     if etype == "measure":
-        return MeasureRegister(register=entry["register"], message=entry["message"])
+        return MeasureRegister(register=read_field(entry, "register", str),
+                               message=read_field(entry, "message", str))
     if etype == "conditional_gate":
-        from .circuits import GATE_BUILDERS
-
-        if "matrix_re" in entry:
-            u = (np.asarray(entry["matrix_re"], dtype=float)
-                 + 1j * np.asarray(entry.get("matrix_im", 0.0 * np.asarray(entry["matrix_re"])), dtype=float))
-        else:
-            params = {k: v for k, v in entry.items()
-                      if k not in ("type", "name", "registers", "message", "value")}
-            u = GATE_BUILDERS[entry["name"]](**params)
-        return ConditionalOp(message=entry["message"], value=int(entry["value"]),
-                             unitary=u, registers=tuple(entry["registers"]))
+        return ConditionalOp(message=read_field(entry, "message", str),
+                             value=read_field(entry, "value", int),
+                             unitary=gate_from_entry(entry), registers=_names(entry, "registers"))
     raise ChannelError(f"unknown event type {etype!r}")
 
 
+def _report_from_dict(entry: dict):
+    etype = read_field(entry, "type", str)
+    name, registers = read_field(entry, "name", str), _names(entry, "registers")
+    if etype == "fidelity":
+        return FidelityReport(name=name, registers=registers,
+                              target_state=_density(entry, "target"))
+    if etype == "state":
+        return StateReport(name=name, registers=registers)
+    raise ChannelError(f"unknown report type {etype!r}")
+
+
 def scenario_from_dict(data: dict) -> NetworkScenario:
-    """Build a scenario from its JSON/TOML dictionary form."""
-    initial = [(r["name"], int(r["dim"])) for r in data.get("registers", [])]
-    nodes = {k: list(v) for k, v in data.get("nodes", {}).items()}
-    events = []
-    for idx, entry in enumerate(data.get("events", [])):
-        try:
-            events.append(_event_from_dict(entry))
-        except (ChannelError, KeyError) as exc:
-            raise ChannelError(f"events[{idx}]: {exc}") from exc
-    reports = []
-    for rep in data.get("reports", []):
-        if rep["type"] == "fidelity":
-            target = (np.asarray(rep["target_re"], dtype=float)
-                      + 1j * np.asarray(rep.get("target_im", 0.0 * np.asarray(rep["target_re"])), dtype=float))
-            reports.append(FidelityReport(name=rep["name"],
-                                          registers=tuple(rep["registers"]),
-                                          target_state=target))
-        elif rep["type"] == "state":
-            reports.append(StateReport(name=rep["name"], registers=tuple(rep["registers"])))
-        else:
-            raise ChannelError(f"unknown report type {rep['type']!r}")
+    """Build a scenario from its JSON/TOML dictionary form; malformed input
+    raises ChannelError, naming ``events[i]`` or ``reports[i]``."""
+    initial = [_register(r) for r in read_field(data, "registers", list, [])]
+    nodes_in = read_field(data, "nodes", dict, {})
+    nodes = {node: list(_names(nodes_in, node)) for node in nodes_in}
+    events = parse_each(read_field(data, "events", list, []), _event_from_dict, "events")
+    reports = parse_each(read_field(data, "reports", list, []), _report_from_dict, "reports")
     declared = {name for name, _ in initial}
     for ev in events:
         if isinstance(ev, AddRegisters):

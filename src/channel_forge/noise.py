@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ChannelError
+from .channels import (Channel, ChannelError, channel_from_dict, check_probabilities, compose_all,
+                       validate_cptp)
+from .linalg import read_field
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -66,14 +68,9 @@ class PauliDiagonalSpec:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        n = probs.size
+        n = check_probabilities(self.probs, "Pauli").size
         if n < 4 or (n & (n - 1)) or int(np.log2(n)) % 2:
             raise ChannelError(f"Pauli spec length {n} is not a power of 4")
-        if np.any(probs < -1e-12):
-            raise ChannelError(f"negative Pauli probability {probs.min():.3e}")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ChannelError(f"Pauli probabilities sum to {probs.sum()!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -201,8 +198,6 @@ class GateModel:
     per_arity: dict | None = None
 
     def __post_init__(self):
-        from .channels import validate_cptp
-
         candidates = list(self.per_arity.values()) if self.per_arity else []
         if self.per_wire is not None:
             candidates.append(self.per_wire)
@@ -232,8 +227,6 @@ class BlockModel:
     trailing: Channel
 
     def __post_init__(self):
-        from .channels import validate_cptp
-
         if self.trailing.dim_in != self.trailing.dim_out:
             raise ChannelError("block-model noise must preserve wire dimension")
         if not validate_cptp(self.trailing).passed:
@@ -242,6 +235,8 @@ class BlockModel:
 
 NoiseModel = GateModel | BlockModel
 
+
+CHANNEL_PARAMS = ("q", "p", "gamma", "p_prime")
 
 _CHANNEL_BUILDERS = {
     "dephasing": lambda q: dephasing(q),
@@ -254,13 +249,24 @@ _CHANNEL_BUILDERS = {
 
 
 def channel_by_name(name: str, **params) -> Channel:
-    """Look up a named factory; single parameter accepted as q/p/gamma."""
+    """Look up a named factory; its one parameter is given as q, p, gamma or p_prime."""
     if name not in _CHANNEL_BUILDERS:
         raise ChannelError(f"unknown channel name {name!r}; known: {sorted(_CHANNEL_BUILDERS)}")
-    vals = [v for k, v in params.items() if k in ("q", "p", "gamma", "p_prime")]
-    if len(vals) != 1:
-        raise ChannelError(f"channel {name!r} takes exactly one of q/p/gamma, got {params}")
-    return _CHANNEL_BUILDERS[name](float(vals[0]))
+    keys = [k for k in params if k in CHANNEL_PARAMS]
+    if len(keys) != 1:
+        raise ChannelError(f"channel {name!r} takes exactly one of q/p/gamma/p_prime, got {params}")
+    return _CHANNEL_BUILDERS[name](read_field(params, keys[0], float))
+
+
+def channel_from_entry(entry: dict) -> Channel:
+    """The channel of a JSON entry: a serialized ``channel`` object, an inline
+    serialized channel (``choi_re``, ``choi_im``, ``dim_in``, ``dim_out``), or a
+    ``name`` with its parameter."""
+    serialized = read_field(entry, "channel", dict, None)
+    if serialized is not None or "choi_re" in entry:
+        return channel_from_dict(entry if serialized is None else serialized)
+    return channel_by_name(read_field(entry, "name", str),
+                           **{k: v for k, v in entry.items() if k in CHANNEL_PARAMS})
 
 
 def noise_model_from_config(config: dict) -> NoiseModel:
@@ -269,19 +275,15 @@ def noise_model_from_config(config: dict) -> NoiseModel:
     Listed channels compose in order (first listed acts first) into the
     single per-wire channel of the model.
     """
-    kind = config.get("kind")
-    specs = config.get("channels", [])
+    kind = read_field(config, "kind", str, None)
+    specs = read_field(config, "channels", list, [])
     if kind not in ("gate", "block"):
         raise ChannelError(f'noise model "kind" must be "gate" or "block", got {kind!r}')
     if not specs:
         raise ChannelError("noise model config lists no channels")
-    from .channels import compose_all
-
-    chans = []
-    for spec in specs:
-        params = {k: v for k, v in spec.items() if k != "name"}
-        chans.append(channel_by_name(spec["name"], **params))
-    combined = compose_all(chans)
+    combined = compose_all([channel_by_name(read_field(spec, "name", str),
+                                            **{k: v for k, v in spec.items() if k != "name"})
+                            for spec in specs])
     return GateModel(combined) if kind == "gate" else BlockModel(combined)
 
 

@@ -19,14 +19,18 @@ import numpy as np
 from scipy.linalg import expm, logm
 from scipy.optimize import minimize, minimize_scalar
 
-from .channels import Channel, ChannelError, choi_fidelity, compose, mix
-from .linalg import reshuffle, uhlmann_fidelity
+from .channels import Channel, ChannelError, channel_to_dict, choi_fidelity, compose, mix
+from .circuits import build_ad_circuit, extract_channel
+from .dilation import stinespring_dilate
+from .linalg import read_field, reshuffle, uhlmann_fidelity
 from .noise import (
     BlockModel,
     NoiseModel,
     PauliDiagonalSpec,
     amplitude_damping,
     apply_noise_model,
+    channel_from_entry,
+    noise_model_from_config,
     pauli_operators,
     pauli_product_index,
 )
@@ -120,8 +124,6 @@ class CPTPParameterization:
             raise ChannelError(
                 f"channel rank {len(kraus)} exceeds ancilla dim {self.ancilla_dim}"
             )
-        from .dilation import stinespring_dilate
-
         padded = list(kraus) + [np.zeros((self.dim, self.dim), dtype=np.complex128)
                                 for _ in range(self.ancilla_dim - len(kraus))]
         u = stinespring_dilate(padded).unitary
@@ -508,8 +510,6 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
     extracted channel to the target; a coarse grid scan locates the basin
     and a bounded scalar minimization refines it.
     """
-    from .circuits import extract_channel
-
     evaluations = 0
 
     def fidelity_of(theta: float) -> float:
@@ -559,8 +559,6 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
     result is at least as good as any restricted tailoring on the same
     template.
     """
-    from .circuits import extract_channel
-
     optimizer = optimizer or OptimizerConfig(restarts=4, max_evals_per_restart=400)
 
     def objective(params: np.ndarray) -> float:
@@ -734,8 +732,6 @@ def pauli_mixture_channel(probs: np.ndarray, hw: Channel | None = None) -> Chann
 
 def recipe_to_dict(rec: TailoringRecipe) -> dict:
     """Serialized recipe: achieved fidelity plus the full correction payload."""
-    from .channels import channel_to_dict
-
     out = {
         "method": rec.method,
         "achieved_fidelity": rec.achieved_fidelity,
@@ -758,16 +754,6 @@ def recipe_to_dict(rec: TailoringRecipe) -> dict:
     return out
 
 
-def _channel_from_spec(spec: dict) -> Channel:
-    from .channels import channel_from_dict
-    from .noise import channel_by_name
-
-    if "choi_re" in spec:
-        return channel_from_dict(spec)
-    params = {k: v for k, v in spec.items() if k != "name"}
-    return channel_by_name(spec["name"], **params)
-
-
 def run_tailoring_job(config: dict) -> dict:
     """Execute a tailoring job described by a config dictionary.
 
@@ -776,42 +762,41 @@ def run_tailoring_job(config: dict) -> dict:
     ``hardware`` (noise-model config, optional), method-specific settings,
     ``budgets`` ({restarts, max_evals}), and ``seed``. The returned dict
     carries the serialized recipe plus the full config as provenance.
+    A missing or mistyped field raises ChannelError.
     """
-    from .noise import noise_model_from_config
-
-    method = config.get("method")
-    seed = int(config.get("seed", 0))
-    budgets = config.get("budgets", {})
-    opt = OptimizerConfig(restarts=int(budgets.get("restarts", 3)),
-                          max_evals_per_restart=int(budgets.get("max_evals", 1200)),
-                          seed=seed)
-    hw = noise_model_from_config(config["hardware"]) if "hardware" in config else None
+    method = read_field(config, "method", str)
+    seed = read_field(config, "seed", int, 0)
+    budgets = read_field(config, "budgets", dict, {})
+    restarts = read_field(budgets, "restarts", int, 3)
+    max_evals = read_field(budgets, "max_evals", int, None)
+    if seed < 0 or restarts < 1 or max_evals is not None and max_evals < 1:
+        raise ChannelError("seed must be >= 0 and budgets >= 1")
+    opt = OptimizerConfig(restarts=restarts, max_evals_per_restart=max_evals or 1200, seed=seed)
+    hw = (noise_model_from_config(read_field(config, "hardware", dict))
+          if "hardware" in config else None)
 
     if method == "building-block":
-        target = _channel_from_spec(config["target"])
+        target = channel_from_entry(read_field(config, "target", dict))
         if "input" in config:
-            input_impl = _channel_from_spec(config["input"])
+            input_impl = channel_from_entry(read_field(config, "input", dict))
         else:
             deco = _block_decorator(hw, target.dim_in) if hw is not None else None
             input_impl = compose(deco, target) if deco is not None else target
         cfg = BuildingBlockConfig(
-            placement=config.get("placement", "interleaved"),
-            mixture_size=int(config.get("mixture_size", 2)),
-            ancilla_dim=config.get("ancilla_dim"),
-            noisy_blocks=bool(config.get("noisy_blocks", True)),
+            placement=read_field(config, "placement", str, "interleaved"),
+            mixture_size=read_field(config, "mixture_size", int, 2),
+            ancilla_dim=read_field(config, "ancilla_dim", int, None),
+            noisy_blocks=read_field(config, "noisy_blocks", bool, True),
             optimizer=opt,
         )
+        if cfg.mixture_size < 1 or cfg.ancilla_dim is not None and cfg.ancilla_dim < 1:
+            raise ChannelError("mixture_size and ancilla_dim must be >= 1")
         rec = building_block_optimize(target, input_impl, hw, cfg)
     elif method == "theta":
-        from .circuits import build_ad_circuit
-
-        target = _channel_from_spec(config["target"])
+        target = channel_from_entry(read_field(config, "target", dict))
         rec = theta_tailor(target, lambda th: build_ad_circuit(th), hw)
     elif method == "black-box-theta":
-        from .circuits import build_ad_circuit, extract_channel
-        from .noise import apply_noise_model
-
-        target = _channel_from_spec(config["target"])
+        target = channel_from_entry(read_field(config, "target", dict))
 
         def oracle(params):
             c = build_ad_circuit(float(params[0]))
@@ -819,22 +804,20 @@ def run_tailoring_job(config: dict) -> dict:
                 c = apply_noise_model(c, hw)
             return choi_fidelity(extract_channel(c).channel, target)
 
-        x0 = np.array([float(config.get("theta0", np.pi / 2))])
-        rec = blackbox_optimize(oracle, 1, budget=int(budgets.get("max_evals", 300)),
-                                optimizer=config.get("optimizer", "nelder-mead"),
+        x0 = np.array([read_field(config, "theta0", float, np.pi / 2)])
+        rec = blackbox_optimize(oracle, 1, budget=max_evals or 300,
+                                optimizer=read_field(config, "optimizer", str, "nelder-mead"),
                                 seed=seed, x0=x0)
     elif method == "ad-repeat":
-        res = ad_repeat_tailor(float(config["hw_p"]), float(config["target_p"]),
-                               int(config.get("n_max", 20)),
-                               n_min=int(config.get("n_min", 1)))
+        res = ad_repeat_tailor(read_field(config, "hw_p", float),
+                               read_field(config, "target_p", float),
+                               read_field(config, "n_max", int, 20),
+                               n_min=read_field(config, "n_min", int, 1))
         return {"method": "ad-repeat", "n": res.n, "achieved_fidelity": res.fidelity,
                 "effective_p": res.effective_p, "settings": config}
     elif method == "pauli":
-        from .noise import PauliDiagonalSpec
-
-        res = pauli_tailor(PauliDiagonalSpec(tuple(config["hw"])),
-                           PauliDiagonalSpec(tuple(config["base"])),
-                           PauliDiagonalSpec(tuple(config["target"])))
+        res = pauli_tailor(*(PauliDiagonalSpec(tuple(read_field(config, key, list)))
+                             for key in ("hw", "base", "target")))
         if isinstance(res, Infeasible):
             return {"method": "pauli", "feasible": False,
                     "residual": res.residual, "settings": config}

@@ -12,11 +12,10 @@ from channel_forge.channels import (
     mix,
     random_channel,
     random_density_matrix,
-    superop_choi_reshuffle,
     validate_cptp,
     validate_density,
 )
-from channel_forge.linalg import dagger, max_entangled_ket, unvectorize, vectorize
+from channel_forge.linalg import dagger, max_entangled_ket, reshuffle, unvectorize, vectorize
 from channel_forge.noise import (
     PAULI_X,
     PAULI_Y,
@@ -138,16 +137,16 @@ def test_compose_rectangular_after_square():
 
 def test_reshuffle_involution_and_identity_form():
     m = RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16))
-    assert np.allclose(superop_choi_reshuffle(superop_choi_reshuffle(m)), m)
+    assert np.allclose(reshuffle(reshuffle(m)), m)
     phi = max_entangled_ket(2)
-    assert np.allclose(superop_choi_reshuffle(Channel.identity(2).superop()),
+    assert np.allclose(reshuffle(Channel.identity(2).superop()),
                        2 * np.outer(phi, phi.conj()))
 
 
 def test_reshuffle_depolarizing_eigenvalues_match_kraus_weights():
     p = 0.8
     ch = depolarizing(p)
-    vals = np.sort(np.linalg.eigvalsh(superop_choi_reshuffle(ch.superop()).real / 2))
+    vals = np.sort(np.linalg.eigvalsh(reshuffle(ch.superop()).real / 2))
     assert np.allclose(vals, sorted([(1 - p) / 3] * 3 + [p]), atol=1e-12)
 
 

@@ -17,7 +17,6 @@ from channel_forge.dilation import (
     extended_qudit_routine,
     povm_to_routine,
     projective_channel_routine,
-    qudit_overhead,
     routine_to_dict,
     stinespring_dilate,
 )
@@ -108,7 +107,7 @@ def test_qudit_ad_example_matches_printed_construction():
     assert np.allclose(projs[1], np.diag([0, 0, 1]))
     assert np.allclose(routine.corrections[0], np.eye(3))
     assert np.allclose(routine.corrections[1], dagger(shift_operator(3)))
-    assert abs(qudit_overhead(routine) - (np.log2(3) - 1)) < 1e-12
+    assert abs(routine.overhead() - (np.log2(3) - 1)) < 1e-12
 
 
 def test_qudit_unitary_channel_is_trivial():
