@@ -7,6 +7,8 @@ The bit-flip closed forms used as acceptance oracles live here as well.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -82,6 +84,21 @@ def fig7c_rows(grid: int = 20, xatol: float = 1e-8) -> list[dict]:
 # -- Method 1 sweeps ---------------------------------------------------------------
 
 
+def _interleaved_fidelity(target: Channel, input_impl: Channel, noise: Channel | None,
+                          seed: int, opt: OptimizerConfig) -> float:
+    """Method 1 with interleaved blocks, decorated by ``noise`` (noiseless
+    blocks when None): the correlated mixture over the fixed block
+    dictionary, then the free Stinespring search alongside it."""
+    pair = optimize_block_pair_mixture(target, input_impl, standard_block_dictionary(),
+                                       decorator=noise)
+    cfg = BuildingBlockConfig(placement="interleaved", mixture_size=2, ancilla_dim=2,
+                              noisy_blocks=noise is not None,
+                              optimizer=replace(opt, seed=seed))
+    hw = BlockModel(noise) if noise is not None else None
+    return building_block_optimize(target, input_impl, hw, cfg,
+                                   extra_candidates=[pair[:3]]).achieved_fidelity
+
+
 def fig5a_rows(q_values=None, seed: int = 0,
                optimizer: OptimizerConfig | None = None) -> list[dict]:
     """Bit-flip(0.95) simulation under the non-Pauli rotation-mixture block
@@ -90,42 +107,19 @@ def fig5a_rows(q_values=None, seed: int = 0,
         q_values = np.linspace(0.80, 1.00, 11)
     target = bit_flip(0.95)
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=1200, seed=seed)
-    dictionary = standard_block_dictionary()
     rows = []
     for q in q_values:
         noise = rotation_noise_b(float(q))
-        hw = BlockModel(noise)
         noisy_input = compose(noise, target)
-        direct_f = choi_fidelity(noisy_input, target)
-        # correlated mixtures over the fixed block dictionary, then the free
-        # Stinespring search alongside them
-        pair_noisy = optimize_block_pair_mixture(target, noisy_input, dictionary,
-                                                 decorator=noise)
-        cfg = BuildingBlockConfig(placement="interleaved", mixture_size=2,
-                                  ancilla_dim=2, noisy_blocks=True,
-                                  optimizer=OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + int(q * 1000)}))
-        noisy_rec = building_block_optimize(target, noisy_input, hw, cfg,
-                                            extra_candidates=[pair_noisy[:3]])
-
-        pair_free = optimize_block_pair_mixture(target, noisy_input, dictionary,
-                                                decorator=None)
-        cfg_free = BuildingBlockConfig(placement="interleaved", mixture_size=2,
-                                       ancilla_dim=2, noisy_blocks=False,
-                                       optimizer=OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + 77 + int(q * 1000)}))
-        candidates = [pair_free[:3]]
-        if noisy_rec.post_channels or noisy_rec.pre_channels:
-            # replay the noisy optimum: its decorated blocks are channels too
-            candidates.append(([compose(noise, b) for b in noisy_rec.post_channels],
-                               [compose(noise, b) for b in noisy_rec.pre_channels],
-                               noisy_rec.mixture))
-        free_rec = building_block_optimize(target, noisy_input, hw, cfg_free,
-                                           extra_candidates=candidates)
-        free_f = max(free_rec.achieved_fidelity, noisy_rec.achieved_fidelity)
+        noisy_f = _interleaved_fidelity(target, noisy_input, noise, opt.seed + int(q * 1000), opt)
+        free_f = _interleaved_fidelity(target, noisy_input, None,
+                                       opt.seed + 77 + int(q * 1000), opt)
         rows.append({
             "q": float(q),
-            "direct_infidelity": 1 - direct_f,
-            "interleaved_noisy_infidelity": 1 - noisy_rec.achieved_fidelity,
-            "interleaved_noiseless_infidelity": 1 - free_f,
+            "direct_infidelity": 1 - choi_fidelity(noisy_input, target),
+            "interleaved_noisy_infidelity": 1 - noisy_f,
+            # a noisy block is a channel too, so noiseless blocks do at least as well
+            "interleaved_noiseless_infidelity": 1 - max(free_f, noisy_f),
         })
     return rows
 
@@ -138,34 +132,19 @@ def fig5b_rows(strengths=None, q: float = 0.9, gamma: float = 0.1, seed: int = 0
         strengths = np.linspace(0.0, 1.0, 11)
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=1200, seed=seed)
     noise = depolarizing_white(q)
-    hw = BlockModel(noise)
     base = amplitude_damping(gamma)
     noisy_input = compose(noise, base)
-    dictionary = standard_block_dictionary()
     rows = []
     for s in strengths:
         target = depolarizing_white(float(s))
-        pair_noisy = optimize_block_pair_mixture(target, noisy_input, dictionary,
-                                                 decorator=noise)
-        cfg = BuildingBlockConfig(placement="interleaved", mixture_size=2,
-                                  ancilla_dim=2, noisy_blocks=True,
-                                  optimizer=OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + int(s * 1000)}))
-        noisy_rec = building_block_optimize(target, noisy_input, hw, cfg,
-                                            extra_candidates=[pair_noisy[:3]])
-
+        noisy_f = _interleaved_fidelity(target, noisy_input, noise, opt.seed + int(s * 1000), opt)
         # perfect-hardware comparison: ideal input channel, ideal blocks
-        pair_free = optimize_block_pair_mixture(target, base, dictionary,
-                                                decorator=None)
-        cfg_free = BuildingBlockConfig(placement="interleaved", mixture_size=2,
-                                       ancilla_dim=2, noisy_blocks=False,
-                                       optimizer=OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + 77 + int(s * 1000)}))
-        free_rec = building_block_optimize(target, base, None, cfg_free,
-                                           extra_candidates=[pair_free[:3]])
+        free_f = _interleaved_fidelity(target, base, None, opt.seed + 77 + int(s * 1000), opt)
         rows.append({
             "target_strength": float(s), "q": q, "gamma": gamma,
             "direct_infidelity": 1 - choi_fidelity(noisy_input, target),
-            "interleaved_noisy_infidelity": 1 - noisy_rec.achieved_fidelity,
-            "interleaved_noiseless_infidelity": 1 - free_rec.achieved_fidelity,
+            "interleaved_noisy_infidelity": 1 - noisy_f,
+            "interleaved_noiseless_infidelity": 1 - free_f,
         })
     return rows
 
@@ -305,7 +284,7 @@ def fig6c_rows(strengths=None, q: float = 0.8, seed: int = 0,
 
         seed_logits = np.log(np.clip(target_probs, 1e-9, None))
         px, pf, _, _ = _maximize(pauli_objective, 4,
-                                 OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + int(s * 997)}),
+                                 replace(opt, seed=opt.seed + int(s * 997)),
                                  seeds=[seed_logits])
         pauli_f = max(pf, direct_f)
 
@@ -314,7 +293,7 @@ def fig6c_rows(strengths=None, q: float = 0.8, seed: int = 0,
 
         full_seed = np.concatenate([px, _PAULI_ANGLE_SEEDS.reshape(-1)])
         fx, ff, _, _ = _maximize(full_objective, 16,
-                                 OptimizerConfig(**{**opt.__dict__, "seed": opt.seed + 31 + int(s * 997)}),
+                                 replace(opt, seed=opt.seed + 31 + int(s * 997)),
                                  seeds=[full_seed])
         full_f = max(ff, pauli_f)
         rows.append({

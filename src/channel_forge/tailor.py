@@ -12,16 +12,16 @@ gradient-free method and no knowledge of the underlying noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
 from .channels import Channel, ChannelError, channel_to_dict, choi_fidelity, compose, mix
 from .circuits import build_ad_circuit, extract_channel
-from .dilation import stinespring_dilate
 from .linalg import read_field, reshuffle, uhlmann_fidelity
 from .noise import (
     BlockModel,
@@ -61,28 +61,14 @@ class TailoringRecipe:
 
 
 def _hermitian_from_params(v: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian n x n matrix: diagonal v[:n], then (re, im) pairs of the
+    upper triangle in row-major order."""
     h = np.zeros((n, n), dtype=np.complex128)
-    idx = n
     h[np.diag_indices(n)] = v[:n]
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = v[idx] + 1j * v[idx + 1]
-            h[j, i] = v[idx] - 1j * v[idx + 1]
-            idx += 2
+    rows, cols = np.triu_indices(n, k=1)
+    h[rows, cols] = v[n::2] + 1j * v[n + 1::2]
+    h[cols, rows] = v[n::2] - 1j * v[n + 1::2]
     return h
-
-
-def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    n = h.shape[0]
-    v = np.zeros(n * n)
-    v[:n] = np.diag(h).real
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            v[idx] = h[i, j].real
-            v[idx + 1] = h[i, j].imag
-            idx += 2
-    return v
 
 
 @dataclass(frozen=True)
@@ -110,100 +96,46 @@ class CPTPParameterization:
         kraus = [u[i * d : (i + 1) * d, :d] for i in range(self.ancilla_dim)]
         return Channel.from_kraus(kraus)
 
-    def encode(self, ch: Channel) -> np.ndarray:
-        """Parameters reproducing ``ch`` exactly (for warm starts).
-
-        The channel's Kraus set (padded with zero operators up to the
-        ancilla dimension) is dilated to a unitary whose matrix log gives
-        the generator.
-        """
-        if ch.dim_in != self.dim or ch.dim_out != self.dim:
-            raise ChannelError("channel dims do not match the parameterization")
-        kraus = ch.kraus()
-        if len(kraus) > self.ancilla_dim:
-            raise ChannelError(
-                f"channel rank {len(kraus)} exceeds ancilla dim {self.ancilla_dim}"
-            )
-        padded = list(kraus) + [np.zeros((self.dim, self.dim), dtype=np.complex128)
-                                for _ in range(self.ancilla_dim - len(kraus))]
-        u = stinespring_dilate(padded).unitary
-        h = logm(u) / 1j
-        h = (h + h.conj().T) / 2
-        return _params_from_hermitian(h)
-
 
 # -- gradient-free maximization ------------------------------------------------
 
 
+# Nelder-Mead tolerances and the spread of random restarts around zero
+_XATOL, _FATOL = 1e-8, 1e-12
+_START_SCALE = 0.5
+
+
 @dataclass
 class OptimizerConfig:
-    """Knobs for the gradient-free searches."""
+    """Budget and seed of the multi-start Nelder-Mead searches."""
 
     restarts: int = 8
     max_evals_per_restart: int = 2000
-    xatol: float = 1e-8
-    fatol: float = 1e-12
     seed: int = 0
-    init_scale: float = 0.5
-    method: str = "nelder-mead"
 
 
 def _maximize(objective: Callable[[np.ndarray], float], n_params: int,
               config: OptimizerConfig, seeds: Sequence[np.ndarray] = ()):
     """Multi-start maximization; returns (best_x, best_f, evals, converged)."""
     rng = np.random.default_rng(config.seed)
-    counter = {"n": 0}
+    evals = 0
 
     def neg(x):
-        counter["n"] += 1
+        nonlocal evals
+        evals += 1
         return -objective(x)
 
     starts = [np.asarray(s, dtype=float) for s in seeds]
     while len(starts) < config.restarts + len(seeds):
-        starts.append(config.init_scale * rng.standard_normal(n_params))
+        starts.append(_START_SCALE * rng.standard_normal(n_params))
     best_x, best_f, converged = None, -np.inf, False
     for x0 in starts:
-        if config.method == "nelder-mead":
-            res = minimize(neg, x0, method="Nelder-Mead",
-                           options={"maxfev": config.max_evals_per_restart,
-                                    "xatol": config.xatol, "fatol": config.fatol})
-            val, x, ok = -res.fun, res.x, bool(res.success)
-        elif config.method == "coordinate-descent":
-            x, val, ok = _coordinate_descent(neg, x0, config)
-        else:
-            raise ChannelError(f"unknown optimizer {config.method!r}")
-        if val > best_f:
-            best_x, best_f, converged = x, val, ok
-    return best_x, best_f, counter["n"], converged
-
-
-def _coordinate_descent(neg, x0: np.ndarray, config: OptimizerConfig):
-    """Cyclic 1-D bounded refinement around the current point."""
-    x = np.array(x0, dtype=float)
-    f = neg(x)
-    span = 1.0
-    evals = 0
-    budget = config.max_evals_per_restart
-    while evals < budget and span > config.xatol:
-        improved = False
-        for i in range(x.size):
-            def along(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return neg(y)
-
-            res = minimize_scalar(along, bounds=(x[i] - span, x[i] + span),
-                                  method="bounded", options={"xatol": config.xatol})
-            evals += 25
-            if res.fun < f - 1e-15:
-                x[i] = res.x
-                f = res.fun
-                improved = True
-            if evals >= budget:
-                break
-        if not improved:
-            span /= 4
-    return x, -f, span <= config.xatol
+        res = minimize(neg, x0, method="Nelder-Mead",
+                       options={"maxfev": config.max_evals_per_restart,
+                                "xatol": _XATOL, "fatol": _FATOL})
+        if -res.fun > best_f:
+            best_x, best_f, converged = res.x, -res.fun, bool(res.success)
+    return best_x, best_f, evals, converged
 
 
 # -- Method 1: building blocks --------------------------------------------------
@@ -247,10 +179,19 @@ def _block_decorator(hw: NoiseModel | None, dim: int) -> Channel | None:
     return noise
 
 
-def _mixture_output_choi(input_superop: np.ndarray, dim: int,
-                         post_superops: list, pre_superops: list,
-                         probs: np.ndarray) -> np.ndarray:
-    """Choi of sum_ij p_ij post_i . input . pre_j (index 0 = skip)."""
+def _block_superops(blocks: Sequence[Channel], decorator: Channel | None) -> list:
+    """[None] (skip) followed by each block's superoperator, decorated by
+    ``decorator`` when one is given."""
+    return [None] + [
+        (compose(decorator, b) if decorator is not None else b).superop() for b in blocks
+    ]
+
+
+def _mixture_fidelity(input_superop: np.ndarray, post_superops: list, pre_superops: list,
+                      probs: np.ndarray, target_choi: np.ndarray) -> float:
+    """F(sum_ij p_ij post_i . input . pre_j, target) with index 0 = skip;
+    0.0 where the fidelity is undefined."""
+    d = math.isqrt(input_superop.shape[0])
     s = np.zeros_like(input_superop)
     for i, sp in enumerate(post_superops):
         left = sp @ input_superop if sp is not None else input_superop
@@ -259,21 +200,10 @@ def _mixture_output_choi(input_superop: np.ndarray, dim: int,
                 continue
             term = left @ sq if sq is not None else left
             s += probs[i, j] * term
-    return reshuffle(s, dim, dim) / dim
-
-
-def _evaluate_recipe(input_impl: Channel, target: Channel,
-                     post_blocks: list, pre_blocks: list,
-                     probs: np.ndarray, decorator: Channel | None) -> float:
-    post_sup = [None] + [
-        (compose(decorator, b) if decorator is not None else b).superop() for b in post_blocks
-    ]
-    pre_sup = [None] + [
-        (compose(decorator, b) if decorator is not None else b).superop() for b in pre_blocks
-    ]
-    choi = _mixture_output_choi(input_impl.superop(), input_impl.dim_in,
-                                post_sup, pre_sup, probs)
-    return uhlmann_fidelity(choi, target.choi)
+    try:
+        return uhlmann_fidelity(reshuffle(s, d, d) / d, target_choi)
+    except ValueError:
+        return 0.0
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -296,7 +226,9 @@ def building_block_optimize(target: Channel, input_impl: Channel,
     improve on it.
 
     ``extra_candidates`` are (post_blocks, pre_blocks, probs) triples
-    evaluated alongside the optimizer (warm-start constructions).
+    evaluated after the search, like the direct implementation; a candidate
+    replaces the search result only when strictly better, and is marked by
+    ``details["candidate"]``.
     """
     config = config or BuildingBlockConfig()
     if target.dim_in != target.dim_out or input_impl.dim_in != input_impl.dim_out:
@@ -332,17 +264,8 @@ def building_block_optimize(target: Channel, input_impl: Channel,
 
     def objective(x: np.ndarray) -> float:
         posts, pres, probs = unpack(x)
-        post_sup = [None] + [
-            (compose(decorator, b) if decorator is not None else b).superop() for b in posts
-        ]
-        pre_sup = [None] + [
-            (compose(decorator, b) if decorator is not None else b).superop() for b in pres
-        ]
-        choi = _mixture_output_choi(input_sup, d, post_sup, pre_sup, probs)
-        try:
-            return uhlmann_fidelity(choi, target_choi)
-        except ValueError:
-            return 0.0
+        return _mixture_fidelity(input_sup, _block_superops(posts, decorator),
+                                 _block_superops(pres, decorator), probs, target_choi)
 
     # seed at the direct corner (skip everything)
     direct_seed = np.zeros(n_params)
@@ -350,29 +273,22 @@ def building_block_optimize(target: Channel, input_impl: Channel,
     best_x, best_f, evals, converged = _maximize(objective, n_params,
                                                  config.optimizer, seeds=[direct_seed])
     posts, pres, probs = unpack(best_x)
-
-    # explicit candidates: the direct implementation, plus any provided ones
-    direct_probs = np.zeros((1, 1))
-    direct_probs[0, 0] = 1.0
-    candidates = [([], [], direct_probs)]
-    candidates.extend(extra_candidates)
+    details = {"placement": config.placement, "noisy_blocks": config.noisy_blocks}
     best = TailoringRecipe(
         method="building-block", achieved_fidelity=best_f,
         post_channels=posts, pre_channels=pres, mixture=probs,
-        converged=converged, evaluations=evals,
-        details={"placement": config.placement, "noisy_blocks": config.noisy_blocks},
+        converged=converged, evaluations=evals, details=details,
     )
-    for cand_posts, cand_pres, cand_probs in candidates:
-        f = _evaluate_recipe(input_impl, target, list(cand_posts), list(cand_pres),
-                             np.asarray(cand_probs, dtype=float), decorator)
+    for cand_posts, cand_pres, cand_probs in [([], [], np.ones((1, 1))), *extra_candidates]:
+        cand_probs = np.asarray(cand_probs, dtype=float)
+        f = _mixture_fidelity(input_sup, _block_superops(cand_posts, decorator),
+                              _block_superops(cand_pres, decorator), cand_probs, target_choi)
         if f > best.achieved_fidelity:
             best = TailoringRecipe(
                 method="building-block", achieved_fidelity=f,
                 post_channels=list(cand_posts), pre_channels=list(cand_pres),
-                mixture=np.asarray(cand_probs, dtype=float),
-                converged=True, evaluations=evals,
-                details={"placement": config.placement,
-                         "noisy_blocks": config.noisy_blocks, "candidate": True},
+                mixture=cand_probs, converged=True, evaluations=evals,
+                details={**details, "candidate": True},
             )
     return best
 
@@ -587,50 +503,42 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
 
 
 def blackbox_optimize(oracle: Callable[[np.ndarray], float], dim: int,
-                      budget: int = 2000, optimizer: str = "nelder-mead",
-                      seed: int = 0, x0: np.ndarray | None = None,
-                      init_scale: float = 1.0) -> TailoringRecipe:
+                      budget: int = 2000, seed: int = 0,
+                      x0: np.ndarray | None = None) -> TailoringRecipe:
     """Method 3: maximize a parameters-to-fidelity oracle within a budget.
 
     The oracle is the only interface to the simulation; no noise knowledge
-    is used. Restarts are drawn from the seeded generator until the
-    evaluation budget runs out; the best point found is returned with a
-    flag when the budget was exhausted before convergence.
+    is used. Nelder-Mead restarts from standard-normal points drawn from the
+    seeded generator until the evaluation budget runs out; the best point
+    found is returned with a flag when the budget was exhausted before
+    convergence.
     """
     rng = np.random.default_rng(seed)
-    counter = {"n": 0}
-    budget_hit = {"flag": False}
+    evals = 0
+    budget_hit = False
 
     def neg(x):
-        counter["n"] += 1
-        if counter["n"] >= budget:
-            budget_hit["flag"] = True
+        nonlocal evals, budget_hit
+        evals += 1
+        if evals >= budget:
+            budget_hit = True
         return -float(oracle(np.asarray(x, dtype=float)))
 
     best_x, best_f = None, -np.inf
     converged = False
-    while counter["n"] < budget:
+    while evals < budget:
         start = (np.asarray(x0, dtype=float) if (x0 is not None and best_x is None)
-                 else init_scale * rng.standard_normal(dim))
-        remaining = budget - counter["n"]
-        if optimizer == "nelder-mead":
-            res = minimize(neg, start, method="Nelder-Mead",
-                           options={"maxfev": remaining, "xatol": 1e-9, "fatol": 1e-13})
-            x, f, ok = res.x, -res.fun, bool(res.success)
-        elif optimizer == "coordinate-descent":
-            cfg = OptimizerConfig(max_evals_per_restart=remaining, xatol=1e-9)
-            x, f, ok = _coordinate_descent(neg, start, cfg)
-        else:
-            raise ChannelError(f"unknown optimizer {optimizer!r}")
-        if f > best_f:
-            best_x, best_f, converged = x, f, ok
+                 else rng.standard_normal(dim))
+        res = minimize(neg, start, method="Nelder-Mead",
+                       options={"maxfev": budget - evals, "xatol": 1e-9, "fatol": 1e-13})
+        if -res.fun > best_f:
+            best_x, best_f, converged = res.x, -res.fun, bool(res.success)
     return TailoringRecipe(
         method="black-box", achieved_fidelity=best_f,
         circuit_params={"params": np.asarray(best_x)},
-        converged=converged and not budget_hit["flag"],
-        evaluations=counter["n"],
-        details={"optimizer": optimizer, "budget": budget,
-                 "budget_exhausted": budget_hit["flag"]},
+        converged=converged and not budget_hit,
+        evaluations=evals,
+        details={"budget": budget, "budget_exhausted": budget_hit},
     )
 
 
@@ -650,8 +558,7 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
     """
     d = target.dim_in
     blocks = list(blocks)
-    decorated = [compose(decorator, b) if decorator is not None else b for b in blocks]
-    sups = [None] + [b.superop() for b in decorated]
+    sups = _block_superops(blocks, decorator)
     s_in = input_impl.superop()
     n = len(sups)
     pair_chois = np.empty((n, n), dtype=object)
@@ -754,19 +661,43 @@ def recipe_to_dict(rec: TailoringRecipe) -> dict:
     return out
 
 
+# Keys each job method reads besides "method" and "seed", and the keys it
+# reads inside "budgets"; any other key is refused.
+_JOB_KEYS = {
+    "building-block": ({"target", "input", "hardware", "placement", "mixture_size",
+                        "ancilla_dim", "noisy_blocks", "budgets"}, {"restarts", "max_evals"}),
+    "theta": ({"target", "hardware"}, set()),
+    "black-box-theta": ({"target", "hardware", "theta0", "budgets"}, {"max_evals"}),
+    "ad-repeat": ({"hw_p", "target_p", "n_max", "n_min"}, set()),
+    "pauli": ({"hw", "base", "target"}, set()),
+}
+
+
+def _refuse_unknown_keys(data: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(data) - allowed, key=str)
+    if unknown:
+        raise ChannelError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def run_tailoring_job(config: dict) -> dict:
     """Execute a tailoring job described by a config dictionary.
 
     Fields: ``method`` (building-block | theta | ad-repeat | pauli |
     black-box-theta), ``target`` (named or serialized channel),
     ``hardware`` (noise-model config, optional), method-specific settings,
-    ``budgets`` ({restarts, max_evals}), and ``seed``. The returned dict
-    carries the serialized recipe plus the full config as provenance.
-    A missing or mistyped field raises ChannelError.
+    ``budgets`` ({restarts, max_evals}), and ``seed``; ``_JOB_KEYS`` lists
+    the keys each method reads. The returned dict carries the serialized
+    recipe plus the full config as provenance. A missing, mistyped or
+    unknown field raises ChannelError.
     """
     method = read_field(config, "method", str)
+    if method not in _JOB_KEYS:
+        raise ChannelError(f"unknown tailoring method {method!r}")
+    keys, budget_keys = _JOB_KEYS[method]
+    _refuse_unknown_keys(config, keys | {"method", "seed"}, f"{method} job")
     seed = read_field(config, "seed", int, 0)
     budgets = read_field(config, "budgets", dict, {})
+    _refuse_unknown_keys(budgets, budget_keys, "budgets")
     restarts = read_field(budgets, "restarts", int, 3)
     max_evals = read_field(budgets, "max_evals", int, None)
     if seed < 0 or restarts < 1 or max_evals is not None and max_evals < 1:
@@ -805,9 +736,7 @@ def run_tailoring_job(config: dict) -> dict:
             return choi_fidelity(extract_channel(c).channel, target)
 
         x0 = np.array([read_field(config, "theta0", float, np.pi / 2)])
-        rec = blackbox_optimize(oracle, 1, budget=max_evals or 300,
-                                optimizer=read_field(config, "optimizer", str, "nelder-mead"),
-                                seed=seed, x0=x0)
+        rec = blackbox_optimize(oracle, 1, budget=max_evals or 300, seed=seed, x0=x0)
     elif method == "ad-repeat":
         res = ad_repeat_tailor(read_field(config, "hw_p", float),
                                read_field(config, "target_p", float),
@@ -815,7 +744,7 @@ def run_tailoring_job(config: dict) -> dict:
                                n_min=read_field(config, "n_min", int, 1))
         return {"method": "ad-repeat", "n": res.n, "achieved_fidelity": res.fidelity,
                 "effective_p": res.effective_p, "settings": config}
-    elif method == "pauli":
+    else:  # pauli
         res = pauli_tailor(*(PauliDiagonalSpec(tuple(read_field(config, key, list)))
                              for key in ("hw", "base", "target")))
         if isinstance(res, Infeasible):
@@ -823,8 +752,6 @@ def run_tailoring_job(config: dict) -> dict:
                     "residual": res.residual, "settings": config}
         return {"method": "pauli", "feasible": True, "lambda": res.lam.tolist(),
                 "residual": res.residual, "unique": res.unique, "settings": config}
-    else:
-        raise ChannelError(f"unknown tailoring method {method!r}")
     payload = recipe_to_dict(rec)
     payload["settings"] = config
     return payload

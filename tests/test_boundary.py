@@ -35,6 +35,8 @@ from channel_forge.cli import main
 from channel_forge.linalg import decode_complex, encode_complex, max_entangled_ket
 from channel_forge.netsim import run_scenario, scenario_from_dict
 from channel_forge.noise import GateModel, amplitude_damping, apply_noise_model, depolarizing_white
+from bench.inputs import make_round
+from channel_forge import tailor
 from channel_forge.tailor import run_tailoring_job
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -381,6 +383,39 @@ def test_tailoring_job_without_target(tmp_path, capsys):
         run_tailoring_job(job)
     assert cli_exit(tmp_path, lambda p: ["tailor", "--config", p], job) == 2
     capsys.readouterr()
+
+
+BIT_FLIP = {"name": "bit_flip", "p": 0.95}
+DAMPING = {"name": "amplitude_damping", "gamma": 0.5}
+GATE_NOISE = {"kind": "gate", "channels": [{"name": "depolarizing", "p": 0.9}]}
+
+
+@pytest.mark.parametrize("job", [
+    {"method": "building-block", "target": BIT_FLIP, "budgets": {"restart": 5}},
+    {"method": "building-block", "target": BIT_FLIP, "mixture": 2},
+    {"method": "black-box-theta", "target": DAMPING, "optimizer": "nelder-mead"},
+    {"method": "black-box-theta", "target": DAMPING, "budgets": {"restarts": 2}},
+    {"method": "theta", "target": DAMPING, "budgets": {"max_evals": 5}},
+    {"method": "ad-repeat", "hw_p": 0.25, "target_p": 0.5, "hardware": GATE_NOISE},
+])
+def test_tailoring_job_unknown_keys_exit_2(job, tmp_path, capsys):
+    with pytest.raises(ChannelError, match="unknown key"):
+        run_tailoring_job(job)
+    assert cli_exit(tmp_path, lambda p: ["tailor", "--config", p], job) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", ["tailor-sweep", "circuit-tailor"])
+def test_benchmark_tailoring_jobs_read_only_known_keys(workload, monkeypatch):
+    def stub(*args, **kwargs):
+        return tailor.TailoringRecipe(method="stub", achieved_fidelity=1.0)
+
+    monkeypatch.setattr(tailor, "building_block_optimize", stub)
+    monkeypatch.setattr(tailor, "blackbox_optimize", stub)
+    for seed in (0, 1):
+        jobs = [json.loads(item.files["job.json"]) for item in make_round(workload, seed, 0)
+                if item.files]
+        assert jobs and all(run_tailoring_job(job)["method"] == "stub" for job in jobs)
 
 
 def test_channel_files_load_validated_except_for_validate(tmp_path, capsys):
