@@ -35,6 +35,7 @@ from .linalg import (
     min_eigenvalue,
     partial_trace,
     read_field,
+    refuse_unknown_keys,
     reshuffle,
     uhlmann_fidelity,
 )
@@ -374,9 +375,13 @@ def channel_to_dict(ch: Channel) -> dict:
             "normalization": "trace1"}
 
 
+CHANNEL_KEYS = frozenset({"dim_in", "dim_out", "choi_re", "choi_im", "normalization"})
+
+
 def channel_from_dict(data: dict, validate: bool = True) -> Channel:
-    """Inverse of :func:`channel_to_dict`."""
+    """Inverse of :func:`channel_to_dict`; ChannelError for a key outside ``CHANNEL_KEYS``."""
     norm = read_field(data, "normalization", str, "trace1")
+    refuse_unknown_keys(data, CHANNEL_KEYS, "channel")
     if norm != "trace1":
         raise ChannelError(f"unsupported Choi normalization {norm!r}")
     return Channel.from_choi(decode_complex(data, "choi"), read_field(data, "dim_in", int),

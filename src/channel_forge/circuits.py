@@ -18,7 +18,7 @@ import numpy as np
 from .channels import Channel, ChannelError, channel_to_dict, check_unitary, mix
 from .engine import MAX_TOTAL_DIMENSION, StateEngine, permute_factors
 from .linalg import (as_complex, decode_complex, encode_complex, max_entangled_ket, parse_each,
-                     read_field)
+                     read_field, refuse_unknown_keys)
 from .noise import PAULI_X, PAULI_Y, PAULI_Z, channel_from_entry
 
 # -- named gates --------------------------------------------------------------
@@ -82,16 +82,22 @@ GATE_BUILDERS = {
 }
 
 
-def gate_from_entry(entry: dict) -> np.ndarray:
+def gate_from_entry(entry: dict, other_keys=frozenset()) -> np.ndarray:
     """The unitary of a JSON gate entry: an explicit ``matrix_re``/``matrix_im``
-    (unitary within 1e-10) or a known ``name`` with its parameters."""
+    (unitary within 1e-10) or a known ``name`` with its parameters. ChannelError
+    for a key that neither this gate nor ``other_keys`` (the keys the caller
+    reads from the same entry) names."""
     if "matrix_re" in entry:
-        return check_unitary(decode_complex(entry, "matrix"))
-    name = read_field(entry, "name", str, "")
-    if name not in GATE_BUILDERS:
-        raise ChannelError(f"gate entry needs a known name or an explicit matrix, got {name!r}")
-    builder, params = GATE_BUILDERS[name]
-    return as_complex(builder(*[read_field(entry, key, kind) for key, kind in params]))
+        u, keys = check_unitary(decode_complex(entry, "matrix")), {"matrix_re", "matrix_im"}
+    else:
+        name = read_field(entry, "name", str, "")
+        if name not in GATE_BUILDERS:
+            raise ChannelError(f"gate entry needs a known name or an explicit matrix, got {name!r}")
+        builder, params = GATE_BUILDERS[name]
+        u = as_complex(builder(*[read_field(entry, key, kind) for key, kind in params]))
+        keys = {"name", *(key for key, _ in params)}
+    refuse_unknown_keys(entry, keys | other_keys, "gate entry")
+    return u
 
 
 # -- circuit elements ---------------------------------------------------------
@@ -431,34 +437,57 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
+# element type -> the keys it reads besides those of its gate or channel
+_ELEMENT_KEYS = {
+    "gate": {"type", "name", "wires"},
+    "channel": {"type", "name", "wires", "is_noise", "condition"},
+    "measure": {"type", "wire", "register"},
+    "conditional_gate": {"type", "name", "wires", "register", "value"},
+    "reset": {"type", "wire"},
+    "trace_out": {"type", "wire"},
+}
+
+
 def _add_element(c: Circuit, entry: dict) -> None:
     etype = read_field(entry, "type", str)
+    if etype not in _ELEMENT_KEYS:
+        raise ChannelError(f"unknown circuit element type {etype!r}")
+    keys = _ELEMENT_KEYS[etype]
     name = read_field(entry, "name", str, "")
     if etype == "gate":
-        c.gate(gate_from_entry(entry), read_field(entry, "wires", list), name=name)
+        c.gate(gate_from_entry(entry, keys), read_field(entry, "wires", list), name=name)
     elif etype == "channel":
         cond = read_field(entry, "condition", dict, None)
-        c.channel(channel_from_entry(entry), read_field(entry, "wires", list), name=name,
+        if cond is not None:
+            refuse_unknown_keys(cond, {"register", "value"}, "condition")
+        c.channel(channel_from_entry(entry, keys), read_field(entry, "wires", list), name=name,
                   is_noise=read_field(entry, "is_noise", bool, False),
                   condition=None if cond is None else (read_field(cond, "register", str),
                                                        read_field(cond, "value", int)))
-    elif etype == "measure":
-        c.measure(read_field(entry, "wire", int), read_field(entry, "register", str))
     elif etype == "conditional_gate":
-        c.conditional_gate(gate_from_entry(entry), read_field(entry, "wires", list),
+        c.conditional_gate(gate_from_entry(entry, keys), read_field(entry, "wires", list),
                            read_field(entry, "register", str), read_field(entry, "value", int),
                            name=name)
-    elif etype in ("reset", "trace_out"):
-        (c.reset if etype == "reset" else c.trace_out)(read_field(entry, "wire", int))
     else:
-        raise ChannelError(f"unknown circuit element type {etype!r}")
+        refuse_unknown_keys(entry, keys, f"{etype} element")
+        if etype == "measure":
+            c.measure(read_field(entry, "wire", int), read_field(entry, "register", str))
+        else:
+            (c.reset if etype == "reset" else c.trace_out)(read_field(entry, "wire", int))
+
+
+def _wire(entry: dict) -> tuple[str, int]:
+    label, dim = read_field(entry, "label", str), read_field(entry, "dim", int)
+    refuse_unknown_keys(entry, {"label", "dim"}, "wire")
+    return label, dim
 
 
 def circuit_from_dict(data: dict) -> Circuit:
     """Inverse of :func:`circuit_to_dict`; named gates and channels are also
-    accepted. Malformed input raises ChannelError, naming ``elements[i]``."""
-    wires = [(read_field(w, "label", str), read_field(w, "dim", int))
-             for w in read_field(data, "wires", list)]
+    accepted. Malformed input, an unknown key included, raises ChannelError,
+    naming ``elements[i]``."""
+    wires = parse_each(read_field(data, "wires", list), _wire, "wires")
+    refuse_unknown_keys(data, {"wires", "data_wires", "elements"}, "circuit")
     if any(d < 1 for _, d in wires) or math.prod(d for _, d in wires) > MAX_TOTAL_DIMENSION:
         raise ChannelError(f"wire dims must be positive with a product of at most "
                            f"{MAX_TOTAL_DIMENSION}, got {[d for _, d in wires]}")

@@ -11,12 +11,13 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -56,13 +57,67 @@ def _output(out: str | None):
     return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
+def _json_key(key) -> str:
+    """A dict key and its ``": "`` as ``json.dumps`` writes them (non-str keys as JSON text)."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key) + ": "
+
+
+def _json_scalar(value) -> str:
+    """A non-container value as ``json.dumps(value, default=float)`` writes it."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, default=float)  # None, bools, NaN, +-inf, numpy scalars
+
+
+def _write_json(value, write, nl: str, step: str, sep: str) -> None:
+    """Write ``value`` chunk by chunk; ``nl`` is the line break and indentation
+    of its level, ``step`` one more level of it ("" both when compact)."""
+    if isinstance(value, (list, tuple)) and value:
+        inner = nl + step
+        if type(value[0]) is float:  # a matrix row: one join of float reprs
+            try:
+                text = (sep + inner).join(map(float.__repr__, value))
+            except TypeError:  # an item is not a float
+                pass
+            else:
+                if "n" not in text:  # no "nan" or "inf", which JSON spells NaN/Infinity
+                    write("[" + inner + text + nl + "]")
+                    return
+        write("[")
+        for i, item in enumerate(value):
+            write(sep + inner if i else inner)
+            _write_json(item, write, inner, step, sep)
+        write(nl + "]")
+    elif isinstance(value, dict) and value:
+        inner = nl + step
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write((sep + inner if i else inner) + _json_key(key))
+            _write_json(item, write, inner, step, sep)
+        write(nl + "}")
+    else:
+        write("[]" if isinstance(value, (list, tuple)) else
+              "{}" if isinstance(value, dict) else _json_scalar(value))
+
+
 def _emit_json(payload, out: str | None, indent: int | None = None) -> None:
-    """Stream ``payload`` as JSON plus a newline in joined batches of encoder chunks:
-    no whole text in memory, at the speed of ``json.dumps`` (``json.dump`` is slower)."""
-    chunks = json.JSONEncoder(indent=indent, default=float).iterencode(payload)
+    """Stream exactly ``json.dumps(payload, indent=indent, default=float)`` plus a
+    newline, without building the whole text: the stdlib encodes indented output
+    one float at a time in Python, this writer joins each row of floats at once."""
     with _output(out) as fh:
-        while batch := "".join(itertools.islice(chunks, 1 << 16)):
-            fh.write(batch)
+        if indent is None:
+            _write_json(payload, fh.write, "", "", ", ")
+        else:
+            _write_json(payload, fh.write, "\n", " " * indent, ",")
         fh.write("\n")
 
 

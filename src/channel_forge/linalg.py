@@ -1,6 +1,6 @@
 """Dense complex-matrix kernels shared by the channel machinery, and the
-checked readers (:func:`read_field`, :func:`decode_complex`) that every JSON
-input goes through.
+checked readers (:func:`read_field`, :func:`refuse_unknown_keys`,
+:func:`decode_complex`) that every JSON input goes through.
 
 All matrices are plain ``numpy.ndarray`` with dtype complex128 and row-major
 (C-order) semantics. Vectorization is row-major throughout the package:
@@ -43,6 +43,13 @@ def read_field(data, key: str, kind: type, default=_REQUIRED):
             or isinstance(v, bool) != (kind is bool) or kind is float and not math.isfinite(v)):
         raise ChannelError(f"field {key!r} must be a {kind.__name__}, got {v!r:.40}")
     return float(v) if kind is float else v
+
+
+def refuse_unknown_keys(data: dict, allowed, where: str) -> None:
+    """ChannelError naming every key of ``data`` outside ``allowed``."""
+    unknown = sorted(set(data) - set(allowed), key=str)
+    if unknown:
+        raise ChannelError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def parse_each(entries: list, parse, where: str) -> list:

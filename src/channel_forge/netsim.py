@@ -19,7 +19,8 @@ import numpy as np
 from .channels import Channel, ChannelError, validate_density
 from .circuits import gate_from_entry
 from .engine import StateEngine
-from .linalg import as_complex, decode_complex, parse_each, read_field, state_fidelity
+from .linalg import (as_complex, decode_complex, parse_each, read_field, refuse_unknown_keys,
+                     state_fidelity)
 from .noise import channel_from_entry
 
 
@@ -218,6 +219,7 @@ def resource_estimate(n: int, m: int, k: int) -> ResourceEstimate:
 
 def _register(entry: dict) -> tuple[str, int]:
     name, dim = read_field(entry, "name", str), read_field(entry, "dim", int)
+    refuse_unknown_keys(entry, {"name", "dim"}, "register")
     if dim < 1:
         raise ChannelError(f"register {name!r} needs a positive dim, got {dim}")
     return name, dim
@@ -236,44 +238,66 @@ def _density(entry: dict, name: str, shape: tuple[int, int] | None = None) -> np
     return rho
 
 
+# event or report type -> the keys it reads besides those of its gate or channel
+_EVENT_KEYS = {
+    "add_registers": {"type", "registers", "state_re", "state_im"},
+    "remove_registers": {"type", "names"},
+    "apply_gate": {"type", "registers"},
+    "apply_channel": {"type", "registers"},
+    "measure": {"type", "register", "message"},
+    "conditional_gate": {"type", "message", "value", "registers"},
+}
+_REPORT_KEYS = {
+    "fidelity": {"type", "name", "registers", "target_re", "target_im"},
+    "state": {"type", "name", "registers"},
+}
+
+
 def _event_from_dict(entry: dict) -> Event:
     etype = read_field(entry, "type", str)
+    if etype not in _EVENT_KEYS:
+        raise ChannelError(f"unknown event type {etype!r}")
+    keys = _EVENT_KEYS[etype]
+    if etype == "apply_gate":
+        return ApplyGate(unitary=gate_from_entry(entry, keys), registers=_names(entry, "registers"))
+    if etype == "apply_channel":
+        return ApplyChannel(channel=channel_from_entry(entry, keys),
+                            registers=_names(entry, "registers"))
+    if etype == "conditional_gate":
+        return ConditionalOp(message=read_field(entry, "message", str),
+                             value=read_field(entry, "value", int),
+                             unitary=gate_from_entry(entry, keys),
+                             registers=_names(entry, "registers"))
+    refuse_unknown_keys(entry, keys, f"{etype} event")
     if etype == "add_registers":
-        regs = tuple(_register(r) for r in read_field(entry, "registers", list))
+        regs = tuple(parse_each(read_field(entry, "registers", list), _register, "registers"))
         dim = math.prod(d for _, d in regs)
         state = _density(entry, "state", (dim, dim)) if "state_re" in entry else None
         return AddRegisters(registers=regs, state=state)
     if etype == "remove_registers":
         return RemoveRegisters(names=_names(entry, "names"))
-    if etype == "apply_gate":
-        return ApplyGate(unitary=gate_from_entry(entry), registers=_names(entry, "registers"))
-    if etype == "apply_channel":
-        return ApplyChannel(channel=channel_from_entry(entry), registers=_names(entry, "registers"))
-    if etype == "measure":
-        return MeasureRegister(register=read_field(entry, "register", str),
-                               message=read_field(entry, "message", str))
-    if etype == "conditional_gate":
-        return ConditionalOp(message=read_field(entry, "message", str),
-                             value=read_field(entry, "value", int),
-                             unitary=gate_from_entry(entry), registers=_names(entry, "registers"))
-    raise ChannelError(f"unknown event type {etype!r}")
+    return MeasureRegister(register=read_field(entry, "register", str),
+                           message=read_field(entry, "message", str))
 
 
 def _report_from_dict(entry: dict):
     etype = read_field(entry, "type", str)
+    if etype not in _REPORT_KEYS:
+        raise ChannelError(f"unknown report type {etype!r}")
+    refuse_unknown_keys(entry, _REPORT_KEYS[etype], f"{etype} report")
     name, registers = read_field(entry, "name", str), _names(entry, "registers")
     if etype == "fidelity":
         return FidelityReport(name=name, registers=registers,
                               target_state=_density(entry, "target"))
-    if etype == "state":
-        return StateReport(name=name, registers=registers)
-    raise ChannelError(f"unknown report type {etype!r}")
+    return StateReport(name=name, registers=registers)
 
 
 def scenario_from_dict(data: dict) -> NetworkScenario:
     """Build a scenario from its JSON/TOML dictionary form; malformed input
-    raises ChannelError, naming ``events[i]`` or ``reports[i]``."""
-    initial = [_register(r) for r in read_field(data, "registers", list, [])]
+    raises ChannelError, naming ``events[i]`` or ``reports[i]``; so does an
+    unknown key."""
+    initial = parse_each(read_field(data, "registers", list, []), _register, "registers")
+    refuse_unknown_keys(data, {"registers", "nodes", "events", "reports"}, "scenario")
     nodes_in = read_field(data, "nodes", dict, {})
     nodes = {node: list(_names(nodes_in, node)) for node in nodes_in}
     events = parse_each(read_field(data, "events", list, []), _event_from_dict, "events")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (Channel, ChannelError, channel_from_dict, check_probabilities, compose_all,
-                       validate_cptp)
-from .linalg import read_field
+from .channels import (CHANNEL_KEYS, Channel, ChannelError, channel_from_dict, check_probabilities,
+                       compose_all, validate_cptp)
+from .linalg import read_field, refuse_unknown_keys
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -252,31 +252,41 @@ def channel_by_name(name: str, **params) -> Channel:
     """Look up a named factory; its one parameter is given as q, p, gamma or p_prime."""
     if name not in _CHANNEL_BUILDERS:
         raise ChannelError(f"unknown channel name {name!r}; known: {sorted(_CHANNEL_BUILDERS)}")
-    keys = [k for k in params if k in CHANNEL_PARAMS]
-    if len(keys) != 1:
+    refuse_unknown_keys(params, CHANNEL_PARAMS, f"channel {name!r}")
+    if len(params) != 1:
         raise ChannelError(f"channel {name!r} takes exactly one of q/p/gamma/p_prime, got {params}")
-    return _CHANNEL_BUILDERS[name](read_field(params, keys[0], float))
+    (key,) = params
+    return _CHANNEL_BUILDERS[name](read_field(params, key, float))
 
 
-def channel_from_entry(entry: dict) -> Channel:
+def channel_from_entry(entry: dict, other_keys=frozenset()) -> Channel:
     """The channel of a JSON entry: a serialized ``channel`` object, an inline
-    serialized channel (``choi_re``, ``choi_im``, ``dim_in``, ``dim_out``), or a
-    ``name`` with its parameter."""
+    serialized channel (``CHANNEL_KEYS``), or a ``name`` with its parameter.
+    ChannelError for a key that neither this channel nor ``other_keys`` (the
+    keys the caller reads from the same entry) names."""
     serialized = read_field(entry, "channel", dict, None)
-    if serialized is not None or "choi_re" in entry:
-        return channel_from_dict(entry if serialized is None else serialized)
-    return channel_by_name(read_field(entry, "name", str),
-                           **{k: v for k, v in entry.items() if k in CHANNEL_PARAMS})
+    if serialized is not None:
+        ch, keys = channel_from_dict(serialized), {"channel"}
+    elif "choi_re" in entry:
+        ch = channel_from_dict({k: v for k, v in entry.items() if k in CHANNEL_KEYS})
+        keys = CHANNEL_KEYS
+    else:
+        ch = channel_by_name(read_field(entry, "name", str),
+                             **{k: v for k, v in entry.items() if k in CHANNEL_PARAMS})
+        keys = {"name", *CHANNEL_PARAMS}
+    refuse_unknown_keys(entry, keys | other_keys, "channel entry")
+    return ch
 
 
 def noise_model_from_config(config: dict) -> NoiseModel:
     """Build a noise model from {"kind": "gate"|"block", "channels": [...]}.
 
     Listed channels compose in order (first listed acts first) into the
-    single per-wire channel of the model.
+    single per-wire channel of the model. ChannelError for any other key.
     """
     kind = read_field(config, "kind", str, None)
     specs = read_field(config, "channels", list, [])
+    refuse_unknown_keys(config, {"kind", "channels"}, "noise model")
     if kind not in ("gate", "block"):
         raise ChannelError(f'noise model "kind" must be "gate" or "block", got {kind!r}')
     if not specs:

@@ -22,7 +22,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .channels import Channel, ChannelError, channel_to_dict, choi_fidelity, compose, mix
 from .circuits import build_ad_circuit, extract_channel
-from .linalg import read_field, reshuffle, uhlmann_fidelity
+from .linalg import read_field, refuse_unknown_keys, reshuffle, uhlmann_fidelity
 from .noise import (
     BlockModel,
     NoiseModel,
@@ -673,12 +673,6 @@ _JOB_KEYS = {
 }
 
 
-def _refuse_unknown_keys(data: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed, key=str)
-    if unknown:
-        raise ChannelError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
 def run_tailoring_job(config: dict) -> dict:
     """Execute a tailoring job described by a config dictionary.
 
@@ -694,10 +688,10 @@ def run_tailoring_job(config: dict) -> dict:
     if method not in _JOB_KEYS:
         raise ChannelError(f"unknown tailoring method {method!r}")
     keys, budget_keys = _JOB_KEYS[method]
-    _refuse_unknown_keys(config, keys | {"method", "seed"}, f"{method} job")
+    refuse_unknown_keys(config, keys | {"method", "seed"}, f"{method} job")
     seed = read_field(config, "seed", int, 0)
     budgets = read_field(config, "budgets", dict, {})
-    _refuse_unknown_keys(budgets, budget_keys, "budgets")
+    refuse_unknown_keys(budgets, budget_keys, "budgets")
     restarts = read_field(budgets, "restarts", int, 3)
     max_evals = read_field(budgets, "max_evals", int, None)
     if seed < 0 or restarts < 1 or max_evals is not None and max_evals < 1:

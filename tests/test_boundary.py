@@ -58,6 +58,8 @@ CIRCUIT = {
             if k != "normalization"}},
         {"type": "measure", "wire": 1, "register": "m"},
         {"type": "conditional_gate", "name": "x", "wires": [0], "register": "m", "value": 1},
+        {"type": "channel", "name": "dephasing", "q": 0.9, "wires": [0],
+         "condition": {"register": "m", "value": 0}},
         {"type": "reset", "wire": 1},
     ],
 }
@@ -84,6 +86,7 @@ JOBS = [
      "base": [0.925, 0.025, 0.025, 0.025], "target": [0.9, 0.05, 0.025, 0.025]},
     {"method": "building-block", "target": {"name": "dephasing", "q": 0.9},
      "input": {"channel": channel_to_dict(amplitude_damping(0.1))},
+     "hardware": {"kind": "block", "channels": [{"name": "rotation_noise_b", "q": 0.9}]},
      "budgets": {"restarts": 1, "max_evals": 5}, "placement": "post", "mixture_size": 1},
 ]
 
@@ -95,7 +98,7 @@ CHANNEL = {k: v for k, v in channel_to_dict(amplitude_damping(0.3)).items()
 # defaults. (Matching by name also spares add_registers' required "registers".)
 OPTIONAL = {"elements", "events", "reports", "registers", "matrix_im", "state_re", "state_im",
             "choi_im", "normalization", "n_min", "n_max", "budgets", "placement",
-            "mixture_size", "input", "restarts", "max_evals"}
+            "mixture_size", "input", "restarts", "max_evals", "condition", "hardware"}
 
 
 def _paths(doc, prefix=()):
@@ -104,6 +107,15 @@ def _paths(doc, prefix=()):
     for k, v in items:
         yield prefix + (k,), isinstance(doc, dict)
         yield from _paths(v, prefix + (k,))
+
+
+def _objects(doc, prefix=()):
+    """The path of every JSON object in ``doc``, ``doc`` itself included."""
+    if isinstance(doc, dict):
+        yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _objects(v, prefix + (k,))
 
 
 def _mutate(doc, path, value=None, drop=False):
@@ -141,10 +153,7 @@ def malformed(draw, base):
         droppable = [p for p, is_key in paths if is_key and p[-1] not in OPTIONAL]
         return _mutate(base, draw(st.sampled_from(droppable)), drop=True)
     path, _ = draw(st.sampled_from(paths))
-    value = draw(WRONG)
-    if isinstance(value, dict) and path[-1] in OPTIONAL:
-        value = None  # unknown keys are ignored, so an optional object may hold any
-    return _mutate(base, path, value)
+    return _mutate(base, path, draw(WRONG))
 
 
 def run_circuit(doc):
@@ -212,6 +221,34 @@ def test_any_json_value_is_refused_or_run(kind, doc, tmp_path_factory):
     except ChannelError:
         pass
     assert cli_exit(tmp_path_factory.mktemp("any"), argv_of, doc) in (0, 2)
+
+
+# Every key name that some reader accepts somewhere; any other key is unknown everywhere.
+KNOWN_KEYS = {p[-1] for doc in [CIRCUIT, SCENARIO, CHANNEL, *JOBS] for p, is_key in _paths(doc)
+              if is_key} | OPTIONAL | {
+    "data_wires", "is_noise", "nodes", "target_im", "channel", "choi_re", "dim_in", "dim_out",
+    "matrix_re", "q", "p", "gamma", "p_prime", "theta", "dim", "seed", "theta0", "ancilla_dim",
+    "noisy_blocks", "kind", "channels", "hw", "base", "target", "hw_p", "target_p"}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS) + ["tailor"])
+@SETTINGS
+@given(data=st.data())
+def test_unknown_key_on_any_entry_exits_2(kind, data, tmp_path_factory):
+    """One extra key on any object of a valid document is refused: the top level, a
+    wire, register, element, condition, event, report, serialized or named channel,
+    tailoring job, its budgets, noise model or noise channel."""
+    if kind == "tailor":
+        base = data.draw(st.sampled_from(JOBS))
+        run, argv_of = run_tailoring_job, lambda p: ["tailor", "--config", p]
+    else:
+        base, run, argv_of = KINDS[kind]
+    path = data.draw(st.sampled_from(list(_objects(base))))
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in KNOWN_KEYS))
+    doc = _mutate(base, path + (key,), data.draw(JSON))
+    with pytest.raises(ChannelError, match="unknown key"):
+        run(doc)
+    assert cli_exit(tmp_path_factory.mktemp("key"), argv_of, doc) == 2
 
 
 @pytest.mark.parametrize("spec", ["dephasing:q=x", "dephasing:", "dephasing:q=nan",
@@ -405,17 +442,23 @@ def test_tailoring_job_unknown_keys_exit_2(job, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workload", ["tailor-sweep", "circuit-tailor"])
-def test_benchmark_tailoring_jobs_read_only_known_keys(workload, monkeypatch):
+@pytest.mark.parametrize("workload", ["tailor-sweep", "circuit-tailor", "dense-sim",
+                                      "netsim-repeater"])
+def test_benchmark_inputs_read_only_known_keys(workload, monkeypatch):
+    """Every benchmark input file parses (tailoring searches stubbed) under the key checks."""
     def stub(*args, **kwargs):
         return tailor.TailoringRecipe(method="stub", achieved_fidelity=1.0)
 
     monkeypatch.setattr(tailor, "building_block_optimize", stub)
     monkeypatch.setattr(tailor, "blackbox_optimize", stub)
-    for seed in (0, 1):
-        jobs = [json.loads(item.files["job.json"]) for item in make_round(workload, seed, 0)
-                if item.files]
-        assert jobs and all(run_tailoring_job(job)["method"] == "stub" for job in jobs)
+    files = [(name, json.loads(data)) for seed in (0, 1, 2) for index in (0, 1)
+             for item in make_round(workload, seed, index) for name, data in item.files.items()]
+    assert files
+    for name, doc in files:
+        if name == "job.json":
+            assert run_tailoring_job(doc)["method"] == "stub"
+        else:
+            {"circuit.json": circuit_from_dict, "scenario.json": scenario_from_dict}[name](doc)
 
 
 def test_channel_files_load_validated_except_for_validate(tmp_path, capsys):

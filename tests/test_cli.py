@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_forge.channels import Channel, channel_to_dict, channel_to_json
-from channel_forge.cli import main, rows_to_csv
+from channel_forge.cli import _emit_json, main, rows_to_csv
 from channel_forge.linalg import max_entangled_ket
 from channel_forge.noise import amplitude_damping
 
@@ -207,3 +212,76 @@ def test_simulate_with_sampling_is_seeded(tmp_path, capsys):
     assert sum(data["sampled_counts"].values()) == 200
     probs = {json.dumps(b["records"], sort_keys=True): b["prob"] for b in data["branches"]}
     assert abs(sum(probs.values()) - 1) < 1e-10
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), FLOAT, st.text(),
+                   st.characters(max_codepoint=0x1F), FLOAT.map(np.float64),
+                   st.integers(-2**63, 2**63 - 1).map(np.int64))
+ROW = st.lists(FLOAT, max_size=5) | st.lists(FLOAT | st.booleans() | st.integers(), max_size=4)
+KEY = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+TREE = st.recursive(
+    SCALAR | ROW | ROW.map(tuple),
+    lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(KEY, kids, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=TREE)
+def test_emit_json_writes_exactly_what_json_dumps_writes(payload):
+    for indent in (None, 2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _emit_json(payload, None, indent)
+        assert buf.getvalue() == json.dumps(payload, indent=indent, default=float) + "\n"
+
+
+def _assert_dumps_text(out: str) -> None:
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_tailor_theta_job_output_is_json_dumps_text(tmp_path, capsys):
+    """The theta recipe's details["range"] is a tuple, written as a list."""
+    job = {"method": "theta", "target": {"name": "amplitude_damping", "gamma": 0.4}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run_cli(["tailor", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert isinstance(json.loads(out)["details"]["range"], list)
+    _assert_dumps_text(out)
+
+
+def test_simulate_with_samples_output_is_json_dumps_text(tmp_path, capsys):
+    """The sampled_counts keys are JSON texts, quotes escaped."""
+    from channel_forge.circuits import build_ad_circuit, circuit_to_dict
+
+    c = build_ad_circuit(2 * np.arcsin(np.sqrt(0.3)), "measure-feedback")
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps(circuit_to_dict(c)))
+    assert run_cli(["simulate", str(path), "--state", "1", "--samples", "50"]) == 0
+    out = capsys.readouterr().out
+    assert '\\"' in out
+    _assert_dumps_text(out)
+
+
+def test_netsim_state_report_output_is_json_dumps_text(tmp_path, capsys):
+    scenario = {
+        "registers": [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}],
+        "events": [
+            {"type": "apply_gate", "name": "h", "registers": ["a"]},
+            {"type": "apply_gate", "name": "cnot", "registers": ["a", "b"]},
+            {"type": "apply_channel", "name": "dephasing", "q": 0.8, "registers": ["b"]},
+            {"type": "measure", "register": "a", "message": "m"},
+        ],
+        "reports": [{"type": "state", "name": "b", "registers": ["b"]}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli(["netsim", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["states"]["b"]["re"]
+    _assert_dumps_text(out)
