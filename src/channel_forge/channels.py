@@ -5,11 +5,13 @@ ordered (output factor, input factor):
 
     choi = (E (x) id)(|Phi><Phi|),   |Phi> = sum_i |i,i> / sqrt(d_in)
 
-Kraus sets, Liouville superoperators, and Stinespring pairs are derived
-views. Vectorization is row-major, so the superoperator of a Kraus set is
-``sum_i K_i (x) conj(K_i)`` and the Choi/superoperator reshuffle is the
-middle-index swap of :func:`channel_forge.linalg.reshuffle` (an involution
-for square channels) together with an explicit factor ``d_in``.
+Kraus sets and Liouville superoperators are derived views; Stinespring
+dilations are built from a Kraus set by
+:func:`channel_forge.dilation.stinespring_dilate`. Vectorization is
+row-major, so the superoperator of a Kraus set is ``sum_i K_i (x) conj(K_i)``
+and the Choi/superoperator reshuffle is the middle-index swap of
+:func:`channel_forge.linalg.reshuffle` (an involution for square channels)
+together with an explicit factor ``d_in``.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class Channel:
         return ch
 
     @classmethod
-    def from_kraus(cls, operators: Iterable[np.ndarray], atol: float = TRACE_ATOL) -> "Channel":
+    def from_kraus(cls, operators: Iterable[np.ndarray]) -> "Channel":
         """Build from Kraus operators {K_i}; checks sum K^dag K = 1."""
-        ops = check_kraus(operators, atol)
+        ops = check_kraus(operators)
         dim_out, dim_in = ops[0].shape
         choi = np.zeros((dim_out * dim_in,) * 2, dtype=np.complex128)
         for k in ops:
@@ -102,17 +104,6 @@ class Channel:
         ch = cls(dim_in=dim_in, dim_out=dim_out, choi=choi)
         ch._kraus_cache = ops
         return ch
-
-    @classmethod
-    def from_superop(cls, matrix, dim_in: int | None = None, dim_out: int | None = None) -> "Channel":
-        """Build from a Liouville superoperator (row-major convention)."""
-        matrix = as_complex(matrix)
-        if dim_out is None:
-            dim_out = int(round(np.sqrt(matrix.shape[0])))
-        if dim_in is None:
-            dim_in = int(round(np.sqrt(matrix.shape[1])))
-        choi = reshuffle(matrix, dim_out, dim_in) / dim_in
-        return cls.from_choi(choi, dim_in, dim_out)
 
     @classmethod
     def from_unitary(cls, u) -> "Channel":
@@ -129,7 +120,7 @@ class Channel:
     @property
     def kraus_rank(self) -> int:
         """Numerical rank of the Choi state (cutoff 1e-12)."""
-        return matrix_rank_by_cutoff(self.choi, RANK_CUTOFF)
+        return matrix_rank_by_cutoff(self.choi)
 
     def kraus(self) -> list[np.ndarray]:
         """Minimal Kraus set from the Choi eigendecomposition (cached).
@@ -158,14 +149,6 @@ class Channel:
             self._superop_cache = t.reshape(do * do, di * di) * di
         return self._superop_cache
 
-    def stinespring(self):
-        """Ancilla-assisted dilation view (square channels only)."""
-        from .dilation import stinespring_dilate
-
-        if self.dim_in != self.dim_out:
-            raise ChannelError("Stinespring view requires a square channel")
-        return stinespring_dilate(self.kraus())
-
     # -- actions -----------------------------------------------------------
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -177,10 +160,6 @@ class Channel:
         for k in self.kraus():
             out += k @ rho @ dagger(k)
         return out
-
-    def __matmul__(self, other: "Channel") -> "Channel":
-        """self @ other = compose(self, other): apply ``other`` first."""
-        return compose(self, other)
 
 
 @dataclass
@@ -211,9 +190,9 @@ def kraus_to_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
     return s
 
 
-def check_kraus(operators: Iterable[np.ndarray], atol: float = TRACE_ATOL) -> list[np.ndarray]:
+def check_kraus(operators: Iterable[np.ndarray]) -> list[np.ndarray]:
     """The operators as complex matrices; ChannelError unless they are a
-    non-empty set of one shape with ``sum K^dag K = 1`` within ``atol``."""
+    non-empty set of one shape with ``sum K^dag K = 1`` within ``TRACE_ATOL``."""
     ops = [as_complex(k) for k in operators]
     if not ops:
         raise ChannelError("empty Kraus set")
@@ -223,7 +202,7 @@ def check_kraus(operators: Iterable[np.ndarray], atol: float = TRACE_ATOL) -> li
         if k.shape != (dim_out, dim_in):
             raise ChannelError(f"inconsistent Kraus shapes: {k.shape} vs {(dim_out, dim_in)}")
     dev = float(np.max(np.abs(sum(dagger(k) @ k for k in ops) - np.eye(dim_in))))
-    if not dev <= atol:  # NaN fails too
+    if not dev <= TRACE_ATOL:  # NaN fails too
         raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
     return ops
 
@@ -303,7 +282,7 @@ def choi_fidelity(a: Channel, b: Channel) -> float:
         raise ChannelError(f"invalid channel in fidelity: {exc}") from exc
 
 
-def validate_cptp(ch: Channel, psd_floor: float = PSD_EIGENVALUE_FLOOR, tp_atol: float = TRACE_ATOL) -> CPTPReport:
+def validate_cptp(ch: Channel) -> CPTPReport:
     """Check complete positivity and trace preservation of a channel.
 
     Trace preservation in the trace-1 Choi convention means the partial
@@ -316,9 +295,9 @@ def validate_cptp(ch: Channel, psd_floor: float = PSD_EIGENVALUE_FLOOR, tp_atol:
     hermitian_ok = is_hermitian(ch.choi, atol=1e-10)
     passed = (
         hermitian_ok
-        and min_eig >= psd_floor
-        and tp_residual <= tp_atol
-        and trace_residual <= tp_atol
+        and min_eig >= PSD_EIGENVALUE_FLOOR
+        and tp_residual <= TRACE_ATOL
+        and trace_residual <= TRACE_ATOL
     )
     return CPTPReport(
         min_choi_eigenvalue=min_eig,
@@ -351,7 +330,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
     return rho / np.trace(rho).real
 
 
-def validate_density(rho: np.ndarray, atol_trace: float = 1e-10) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Raise unless rho is Hermitian, unit trace, and PSD within tolerances."""
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
@@ -359,7 +338,7 @@ def validate_density(rho: np.ndarray, atol_trace: float = 1e-10) -> None:
     if not is_hermitian(rho):
         raise ChannelError("density matrix is not Hermitian within 1e-12")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > atol_trace:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise ChannelError(f"density matrix trace {tr!r} deviates from 1")
     lo = min_eigenvalue(rho)
     if lo < PSD_EIGENVALUE_FLOOR:
@@ -392,5 +371,5 @@ def channel_to_json(ch: Channel) -> str:
     return json.dumps(channel_to_dict(ch))
 
 
-def channel_from_json(text: str, validate: bool = True) -> Channel:
-    return channel_from_dict(json.loads(text), validate=validate)
+def channel_from_json(text: str) -> Channel:
+    return channel_from_dict(json.loads(text))

@@ -258,13 +258,14 @@ def _run_elements(engine: StateEngine, circuit: Circuit, handle_of: dict[int, in
 
 
 def _initial_engine(circuit: Circuit, rho_in: np.ndarray | None,
-                    data: tuple[int, ...], extra_ref_dims: list[int] | None = None,
+                    extra_ref_dims: list[int] | None = None,
                     joint_ket: np.ndarray | None = None):
-    """Set up the engine state: rho_in on data wires, |0> ancillas, optional refs.
+    """Set up the engine state: rho_in on the data wires, |0> ancillas, optional refs.
 
     When ``joint_ket`` is given it is a pure state over (data wires + refs)
     in that factor order and overrides ``rho_in``.
     """
+    data = circuit.data()
     dims = circuit.wire_dims()
     n = len(dims)
     ancillas = [w for w in range(n) if w not in data]
@@ -301,27 +302,24 @@ def _initial_engine(circuit: Circuit, rho_in: np.ndarray | None,
     return engine, handle_of, ref_handles
 
 
-def simulate(circuit: Circuit, rho_in: np.ndarray,
-             data_wires: Sequence[int] | None = None) -> np.ndarray:
+def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     """Run the circuit on rho_in (over the data wires; ancillas start |0>).
 
     Returns the exact mixed state over the wires still live at the end, in
     ascending wire order.
     """
-    return simulate_detailed(circuit, rho_in, data_wires)[0]
+    return simulate_detailed(circuit, rho_in)[0]
 
 
-def simulate_detailed(circuit: Circuit, rho_in: np.ndarray,
-                      data_wires: Sequence[int] | None = None):
+def simulate_detailed(circuit: Circuit, rho_in: np.ndarray):
     """Like :func:`simulate` but also returns the branch log."""
-    data = tuple(data_wires) if data_wires is not None else circuit.data()
-    engine, handle_of, _ = _initial_engine(circuit, rho_in, data)
+    engine, handle_of, _ = _initial_engine(circuit, rho_in)
     _run_elements(engine, circuit, handle_of)
     live = sorted(handle_of)
     return engine.reduced_state([handle_of[w] for w in live]), engine.branch_summary()
 
 
-def extract_channel(circuit: Circuit, data_wires: Sequence[int] | None = None) -> ProcessResult:
+def extract_channel(circuit: Circuit) -> ProcessResult:
     """Effective channel of the circuit on its data wires.
 
     One half of a maximally entangled state over the data wires is fed
@@ -329,16 +327,15 @@ def extract_channel(circuit: Circuit, data_wires: Sequence[int] | None = None) -
     joint state is the (trace-1) Choi state of the effective map. Every
     non-data wire must be traced out by the end of the circuit.
     """
-    data = tuple(data_wires) if data_wires is not None else circuit.data()
+    data = circuit.data()
     dims = circuit.wire_dims()
     data_dims = [dims[w] for w in data]
     d = int(np.prod(data_dims))
     ket = max_entangled_ket(d)
     engine, handle_of, ref_handles = _initial_engine(
-        circuit, None, data, extra_ref_dims=data_dims, joint_ket=ket
+        circuit, None, extra_ref_dims=data_dims, joint_ket=ket
     )
     _run_elements(engine, circuit, handle_of)
-    live = set(handle_of)
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):
         raise ChannelError("a data wire was traced out; cannot extract a channel on it")

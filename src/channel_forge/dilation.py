@@ -224,17 +224,17 @@ class NotMixedUnitary:
 NOT_MIXED_UNITARY = NotMixedUnitary()
 
 
-def mixed_unitary_decompose(ch: Channel, atol: float = 1e-9):
+def mixed_unitary_decompose(ch: Channel):
     """Pauli mixture (unitaries, probabilities) of a Pauli-diagonal channel.
 
     Diagonalizes the Choi state in the Bell-type basis; if off-diagonal
-    weight remains, the channel is not Pauli-diagonal and the
+    weight above 1e-9 remains, the channel is not Pauli-diagonal and the
     :data:`NOT_MIXED_UNITARY` marker is returned (general mixed-unitary
     detection is out of scope).
     """
     if ch.dim_in != ch.dim_out:
         return NOT_MIXED_UNITARY
-    weights = bell_diagonal_weights(ch, atol=atol)
+    weights = bell_diagonal_weights(ch, atol=1e-9)
     if weights is None:
         return NOT_MIXED_UNITARY
     n = int(round(np.log2(ch.dim_in)))

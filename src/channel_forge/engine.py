@@ -187,29 +187,31 @@ class StateEngine:
             raise ChannelError("dimension-changing channels are limited to a single wire")
         self._apply(ch.superop(), False, wires, [ch.dim_out] if len(wires) == 1 else None)
 
-    def measure(self, wire: int, register: str, projectors: list[np.ndarray] | None = None) -> None:
-        """Projective measurement; branches split per outcome, records updated.
+    def measure(self, wire: int, register: str) -> None:
+        """Computational-basis measurement; branches split per outcome, records updated.
 
-        The memory check counts the old branches too: they are held until the end.
+        Outcomes run in the outer loop, so only one projector form is held at a
+        time; the new branches are then listed branch-major. The memory check
+        counts the old branches too: they are held until the end.
         """
         ax = self.axis_of(wire)
         d = self.dims[ax]
-        if projectors is None:
-            projectors = [np.diag((np.arange(d) == k).astype(np.complex128)) for k in range(d)]
-        forms = [_operator_form(p) for p in projectors]
-        total = np.zeros(len(forms))
-        new_branches = []
-        for b in self.branches:
-            for outcome, (op, single) in enumerate(forms):
-                _check_memory(len(self.branches) + len(new_branches) + 1, self.total_dim)
+        total = np.zeros(d)
+        split = [[] for _ in self.branches]
+        created = 0
+        for outcome in range(d):
+            op, single = _operator_form(np.diag((np.arange(d) == outcome).astype(np.complex128)))
+            for b, children in zip(self.branches, split):
+                _check_memory(len(self.branches) + created + 1, self.total_dim)
                 rho_o = self._evolve(b.rho, op, single, [ax], [d])
                 p = float(np.trace(rho_o).real)
                 total[outcome] += b.prob * p
                 if b.prob * p > BRANCH_PROB_FLOOR:
                     records = dict(b.records)
                     records[register] = outcome
-                    new_branches.append(Branch(prob=b.prob * p, rho=rho_o / p, records=records))
-        self.branches = new_branches
+                    children.append(Branch(prob=b.prob * p, rho=rho_o / p, records=records))
+                    created += 1
+        self.branches = [child for children in split for child in children]
         for outcome, p in enumerate(total):
             self.measurement_log.append((register, outcome, float(p)))
 

@@ -30,6 +30,7 @@ from .tailor import (
     OptimizerConfig,
     ParametricCircuit,
     _maximize,
+    _softmax,
     building_block_optimize,
     full_circuit_tailor,
     optimize_block_pair_mixture,
@@ -124,13 +125,21 @@ def fig5a_rows(q_values=None, seed: int = 0,
     return rows
 
 
-def fig5b_rows(strengths=None, q: float = 0.9, gamma: float = 0.1, seed: int = 0,
+# keep-probabilities of the experiments' hardware noise, and fig5b's damping
+FIG5B_Q, FIG5B_GAMMA = 0.9, 0.1
+FIG6A_Q = 0.925
+FIG6B_Q = FIG6C_Q = 0.8
+
+
+def fig5b_rows(strengths=None, seed: int = 0,
                optimizer: OptimizerConfig | None = None) -> list[dict]:
-    """Transforming amplitude damping into depolarizing of swept strength
-    with interleaved blocks, under white block noise of strength q."""
+    """Transforming amplitude damping (gamma FIG5B_GAMMA) into depolarizing of
+    swept strength with interleaved blocks, under white block noise of
+    strength FIG5B_Q."""
     if strengths is None:
         strengths = np.linspace(0.0, 1.0, 11)
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=1200, seed=seed)
+    q, gamma = FIG5B_Q, FIG5B_GAMMA
     noise = depolarizing_white(q)
     base = amplitude_damping(gamma)
     noisy_input = compose(noise, base)
@@ -152,21 +161,21 @@ def fig5b_rows(strengths=None, q: float = 0.9, gamma: float = 0.1, seed: int = 0
 # -- Method 2 sweeps ---------------------------------------------------------------
 
 
-def fig6a_noise_model(q: float = 0.925) -> GateModel:
+def fig6a_noise_model() -> GateModel:
     """Gate noise of the controlled-rotation experiment: white-style
-    depolarizing followed by dephasing, keep-probability q each."""
-    return GateModel(compose(dephasing(q), depolarizing(q)))
+    depolarizing followed by dephasing, keep-probability FIG6A_Q each."""
+    return GateModel(compose(dephasing(FIG6A_Q), depolarizing(FIG6A_Q)))
 
 
-def fig6b_noise_model(q: float = 0.8) -> BlockModel:
-    return BlockModel(compose(dephasing(q), depolarizing(q)))
+def fig6b_noise_model() -> BlockModel:
+    return BlockModel(compose(dephasing(FIG6B_Q), depolarizing(FIG6B_Q)))
 
 
-def fig6a_rows(gammas=None, q: float = 0.925) -> list[dict]:
+def fig6a_rows(gammas=None) -> list[dict]:
     """Optimal rotation angle vs damping strength under gate noise."""
     if gammas is None:
         gammas = np.linspace(0.05, 0.95, 10)
-    hw = fig6a_noise_model(q)
+    hw = fig6a_noise_model()
     rows = []
     for g in gammas:
         target = amplitude_damping(float(g))
@@ -175,7 +184,7 @@ def fig6a_rows(gammas=None, q: float = 0.925) -> list[dict]:
         naive = apply_noise_model(build_ad_circuit(ideal_theta), hw)
         naive_f = choi_fidelity(extract_channel(naive).channel, target)
         rows.append({
-            "gamma": float(g), "q": q,
+            "gamma": float(g), "q": FIG6A_Q,
             "theta_ideal": ideal_theta,
             "theta_opt": rec.circuit_params["theta"],
             "fidelity_naive": naive_f,
@@ -204,12 +213,12 @@ def _ad_full_template() -> ParametricCircuit:
     return ParametricCircuit(n_params=7, build=build, name="ad-full")
 
 
-def fig6b_rows(gammas=None, q: float = 0.8, seed: int = 0,
+def fig6b_rows(gammas=None, seed: int = 0,
                optimizer: OptimizerConfig | None = None) -> list[dict]:
     """Theta-only vs full-circuit tailoring under block noise."""
     if gammas is None:
         gammas = np.linspace(0.05, 0.95, 10)
-    hw = fig6b_noise_model(q)
+    hw = fig6b_noise_model()
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=500, seed=seed)
     template = _ad_full_template()
     rows = []
@@ -221,7 +230,7 @@ def fig6b_rows(gammas=None, q: float = 0.8, seed: int = 0,
         full_rec = full_circuit_tailor(target, template, hw, optimizer=opt,
                                        seeds=[seed_vec])
         rows.append({
-            "gamma": float(g), "q": q,
+            "gamma": float(g), "q": FIG6B_Q,
             "fidelity_theta_only": theta_rec.achieved_fidelity,
             "fidelity_full_circuit": max(full_rec.achieved_fidelity,
                                          theta_rec.achieved_fidelity),
@@ -229,10 +238,10 @@ def fig6b_rows(gammas=None, q: float = 0.8, seed: int = 0,
     return rows
 
 
-def fig6c_noise(q: float = 0.8) -> Channel:
+def fig6c_noise() -> Channel:
     """Block noise of the depolarizing-target experiment: dephasing followed
-    by amplitude damping, keep-probability q each."""
-    return compose(amplitude_damping(1 - q), dephasing(q))
+    by amplitude damping, keep-probability FIG6C_Q each."""
+    return compose(amplitude_damping(1 - FIG6C_Q), dephasing(FIG6C_Q))
 
 
 def _unitary_mixture_channel(params: np.ndarray, noise: Channel | None) -> Channel:
@@ -240,9 +249,7 @@ def _unitary_mixture_channel(params: np.ndarray, noise: Channel | None) -> Chann
 
     Layout: 4 logits followed by 4 z-y-z angle triples.
     """
-    logits = params[:4]
-    z = np.exp(logits - logits.max())
-    probs = z / z.sum()
+    probs = _softmax(params[:4])
     chans = []
     for k in range(4):
         a, b, c = params[4 + 3 * k : 7 + 3 * k]
@@ -261,13 +268,13 @@ _PAULI_ANGLE_SEEDS = np.array([
 ])
 
 
-def fig6c_rows(strengths=None, q: float = 0.8, seed: int = 0,
+def fig6c_rows(strengths=None, seed: int = 0,
                optimizer: OptimizerConfig | None = None) -> list[dict]:
     """Depolarizing-target tailoring: direct Pauli mixture, optimized Pauli
     probabilities, and a fully tunable four-unitary mixture."""
     if strengths is None:
         strengths = np.linspace(0.0, 1.0, 11)
-    noise = fig6c_noise(q)
+    noise = fig6c_noise()
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=600, seed=seed)
     rows = []
     for s in strengths:
@@ -277,10 +284,7 @@ def fig6c_rows(strengths=None, q: float = 0.8, seed: int = 0,
         direct_f = choi_fidelity(direct, target)
 
         def pauli_objective(logits: np.ndarray) -> float:
-            z = np.exp(logits - logits.max())
-            probs = z / z.sum()
-            ch = compose(noise, pauli_mixture_channel(probs))
-            return choi_fidelity(ch, target)
+            return choi_fidelity(compose(noise, pauli_mixture_channel(_softmax(logits))), target)
 
         seed_logits = np.log(np.clip(target_probs, 1e-9, None))
         px, pf, _, _ = _maximize(pauli_objective, 4,
@@ -297,7 +301,7 @@ def fig6c_rows(strengths=None, q: float = 0.8, seed: int = 0,
                                  seeds=[full_seed])
         full_f = max(ff, pauli_f)
         rows.append({
-            "target_strength": float(s), "q": q,
+            "target_strength": float(s), "q": FIG6C_Q,
             "fidelity_direct": direct_f,
             "fidelity_pauli_probs": pauli_f,
             "fidelity_full_circuit": full_f,

@@ -124,40 +124,36 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1)
 
 
-def unvectorize(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`. Square by default."""
-    if rows is None:
-        rows = int(round(np.sqrt(v.size)))
-        if rows * rows != v.size:
-            raise ValueError(f"vector of length {v.size} is not square-unvectorizable")
-        cols = rows
-    if cols is None:
-        cols = v.size // rows
-    return v.reshape(rows, cols)
+def unvectorize(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vectorize` for a square matrix."""
+    rows = int(round(np.sqrt(v.size)))
+    if rows * rows != v.size:
+        raise ValueError(f"vector of length {v.size} is not square-unvectorizable")
+    return v.reshape(rows, rows)
 
 
-def hermitian_eigensystem(m: np.ndarray, atol: float = 1e-10):
+def hermitian_eigensystem(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Raises ValueError when the input is not Hermitian within ``atol``.
+    Raises ValueError when the input is not Hermitian within 1e-10.
     """
     m = as_complex(m)
     dev = float(np.max(np.abs(m - dagger(m))))
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.1e}")
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > 1.0e-10")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
     order = np.argsort(vals)[::-1]
     return vals[order].real, vecs[:, order]
 
 
-def hermitian_sqrt(m: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
     Eigenvalues below zero are clamped to zero before taking the root, so
     roundoff-negative inputs are handled gracefully. The result S satisfies
     S @ S ~= M for genuinely PSD input.
     """
-    vals, vecs = hermitian_eigensystem(m, atol=atol)
+    vals, vecs = hermitian_eigensystem(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ dagger(vecs)
 
@@ -168,10 +164,10 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(vals[0])
 
 
-def matrix_rank_by_cutoff(m: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    """Rank of a Hermitian matrix counting eigenvalues above ``cutoff``."""
+def matrix_rank_by_cutoff(m: np.ndarray) -> int:
+    """Rank of a Hermitian matrix counting eigenvalues above ``RANK_CUTOFF``."""
     vals = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return int(np.sum(np.abs(vals) > cutoff))
+    return int(np.sum(np.abs(vals) > RANK_CUTOFF))
 
 
 def _floored_sqrt_eigs(vals: np.ndarray) -> np.ndarray:
@@ -290,8 +286,3 @@ def max_entangled_ket(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
-
-
-def projector(ket: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a ket."""
-    return np.outer(ket, ket.conj())

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import (CHANNEL_KEYS, Channel, ChannelError, channel_from_dict, check_probabilities,
                        compose_all, validate_cptp)
-from .linalg import read_field, refuse_unknown_keys
+from .linalg import max_entangled_ket, read_field, refuse_unknown_keys
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -24,9 +24,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 _PAULIS_1Q = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
-# symplectic (x, z) labels for {I, X, Y, Z}; products compose by XOR
-_SYMPLECTIC = ((0, 0), (1, 0), (1, 1), (0, 1))
-_SYMPLECTIC_INDEX = {v: i for i, v in enumerate(_SYMPLECTIC)}
+# symplectic label 2x + z of each of {I, X, Y, Z}; products compose by XOR
+_SYMPLECTIC = np.array([0, 2, 3, 1])
 
 
 def _check_prob(p: float, name: str = "p") -> float:
@@ -48,17 +47,16 @@ def pauli_operators(n_qubits: int) -> list[np.ndarray]:
     return ops
 
 
-def pauli_product_index(i: int, j: int, n_qubits: int) -> int:
-    """Index of P_i P_j up to phase, composed digit-wise by symplectic XOR."""
-    out = 0
-    for k in range(n_qubits):
-        shift = 2 * (n_qubits - 1 - k)
-        di = (i >> shift) & 3
-        dj = (j >> shift) & 3
-        xi, zi = _SYMPLECTIC[di]
-        xj, zj = _SYMPLECTIC[dj]
-        out |= _SYMPLECTIC_INDEX[(xi ^ xj, zi ^ zj)] << shift
-    return out
+def pauli_product_table(n_qubits: int) -> np.ndarray:
+    """(4^n, 4^n) table whose entry (i, j) is the index of P_i P_j up to phase.
+
+    Each index maps to its symplectic label, digit by digit; labels of a
+    product are the XOR of the factors' labels, mapped back to an index.
+    """
+    labels = _SYMPLECTIC
+    for _ in range(n_qubits - 1):
+        labels = (4 * labels[:, None] + _SYMPLECTIC).ravel()
+    return np.argsort(labels)[labels[:, None] ^ labels]
 
 
 @dataclass(frozen=True)
@@ -183,41 +181,22 @@ def pauli_conjugations() -> list[Channel]:
 # -- hardware noise models ---------------------------------------------------
 
 
+def _check_model_channel(ch: Channel, kind: str) -> None:
+    if ch.dim_in != ch.dim_out:
+        raise ChannelError(f"{kind}-model noise must preserve wire dimension")
+    if not validate_cptp(ch).passed:
+        raise ChannelError(f"{kind}-model noise channel is not CPTP")
+
+
 @dataclass(frozen=True)
 class GateModel:
-    """Per-gate noise: after each gate, one channel instance per touched wire.
+    """Per-gate noise: the single-wire channel ``per_wire`` on every wire an
+    operation touches, in ascending wire order (see :func:`apply_noise_model`)."""
 
-    ``per_wire`` is a single-wire channel inserted on every wire a gate
-    touches, in ascending wire order; ``per_arity`` optionally overrides it
-    for specific gate arities. Projective measurements are preceded by the
-    same channel on the measured wire. A gate whose arity has no entry (and
-    no default) is a configuration error.
-    """
-
-    per_wire: Channel | None = None
-    per_arity: dict | None = None
+    per_wire: Channel
 
     def __post_init__(self):
-        candidates = list(self.per_arity.values()) if self.per_arity else []
-        if self.per_wire is not None:
-            candidates.append(self.per_wire)
-        if not candidates:
-            raise ChannelError("gate model needs a per-wire channel or per-arity entries")
-        for ch in candidates:
-            if ch.dim_in != ch.dim_out:
-                raise ChannelError("gate-model noise must preserve wire dimension")
-            if not validate_cptp(ch).passed:
-                raise ChannelError("gate-model noise channel is not CPTP")
-
-    def channel_for(self, arity: int, gate_name: str = "") -> Channel:
-        if self.per_arity and arity in self.per_arity:
-            return self.per_arity[arity]
-        if self.per_wire is None:
-            raise ChannelError(
-                f"gate model has no noise entry for arity {arity} "
-                f"(gate {gate_name or 'unnamed'!r})"
-            )
-        return self.per_wire
+        _check_model_channel(self.per_wire, "gate")
 
 
 @dataclass(frozen=True)
@@ -227,10 +206,7 @@ class BlockModel:
     trailing: Channel
 
     def __post_init__(self):
-        if self.trailing.dim_in != self.trailing.dim_out:
-            raise ChannelError("block-model noise must preserve wire dimension")
-        if not validate_cptp(self.trailing).passed:
-            raise ChannelError("block-model noise channel is not CPTP")
+        _check_model_channel(self.trailing, "block")
 
 
 NoiseModel = GateModel | BlockModel
@@ -238,14 +214,8 @@ NoiseModel = GateModel | BlockModel
 
 CHANNEL_PARAMS = ("q", "p", "gamma", "p_prime")
 
-_CHANNEL_BUILDERS = {
-    "dephasing": lambda q: dephasing(q),
-    "depolarizing": lambda q: depolarizing(q),
-    "depolarizing_white": lambda q: depolarizing_white(q),
-    "amplitude_damping": lambda q: amplitude_damping(q),
-    "bit_flip": lambda q: bit_flip(q),
-    "rotation_noise_b": lambda q: rotation_noise_b(q),
-}
+_CHANNEL_BUILDERS = {f.__name__: f for f in (dephasing, depolarizing, depolarizing_white,
+                                                amplitude_damping, bit_flip, rotation_noise_b)}
 
 
 def channel_by_name(name: str, **params) -> Channel:
@@ -300,12 +270,12 @@ def noise_model_from_config(config: dict) -> NoiseModel:
 def apply_noise_model(circuit, nm: NoiseModel):
     """Decorate a circuit with hardware noise; the input is left untouched.
 
-    Gate model: after every gate, conditional gate, or (non-noise) channel
-    insertion, the per-wire noise channel is inserted on each touched wire in
-    ascending wire order; projective measurements are preceded by the noise
-    channel on the measured wire. Conditional gates carry their noise under
-    the same condition. Block model: the trailing channel is appended on
-    every data wire after the full circuit.
+    Gate model: after every gate, conditional gate or (non-noise) channel
+    insertion, the per-wire channel goes on every wire it touches, in
+    ascending wire order, under the element's condition; projective
+    measurements are preceded by the channel on the measured wire. Block
+    model: the trailing channel is appended on every data wire after the
+    full circuit.
 
     Inserted operations are flagged ``is_noise`` and are never decorated
     again on a second pass.
@@ -326,22 +296,17 @@ def apply_noise_model(circuit, nm: NoiseModel):
         new_elements = []
         for el in out.elements:
             if isinstance(el, Measure):
-                new_elements.append(noise_op(el.wire, nm.channel_for(1, "measure")))
-                new_elements.append(el)
-                continue
+                new_elements.append(noise_op(el.wire, nm.per_wire))
             new_elements.append(el)
             if isinstance(el, Gate):
-                ch = nm.channel_for(len(el.wires), el.name)
-                for w in sorted(el.wires):
-                    new_elements.append(noise_op(w, ch))
+                condition = None
             elif isinstance(el, ConditionalGate):
-                ch = nm.channel_for(len(el.wires), el.name)
-                for w in sorted(el.wires):
-                    new_elements.append(noise_op(w, ch, condition=(el.register, el.value)))
+                condition = (el.register, el.value)
             elif isinstance(el, ChannelOp) and not el.is_noise:
-                ch = nm.channel_for(len(el.wires), el.name)
-                for w in sorted(el.wires):
-                    new_elements.append(noise_op(w, ch, condition=el.condition))
+                condition = el.condition
+            else:
+                continue
+            new_elements += [noise_op(w, nm.per_wire, condition) for w in sorted(el.wires)]
         out.elements = new_elements
         return out
 
@@ -350,19 +315,18 @@ def apply_noise_model(circuit, nm: NoiseModel):
     return out
 
 
-def is_unital(ch: Channel, atol: float = 1e-12) -> bool:
-    """Whether the channel fixes the maximally mixed state."""
+def is_unital(ch: Channel) -> bool:
+    """Whether the channel fixes the maximally mixed state within 1e-12."""
     if ch.dim_in != ch.dim_out:
         return False
     mixed = np.eye(ch.dim_in, dtype=np.complex128) / ch.dim_in
-    return bool(np.max(np.abs(ch.apply(mixed) - mixed)) <= atol)
+    return bool(np.max(np.abs(ch.apply(mixed) - mixed)) <= 1e-12)
 
 
 def bell_basis(n_qubits: int = 1) -> np.ndarray:
     """Columns (P_i (x) 1)|Phi>: the Bell-type basis diagonalizing Pauli channels."""
     d = 2**n_qubits
-    phi = np.zeros(d * d, dtype=np.complex128)
-    phi[:: d + 1] = 1.0 / np.sqrt(d)
+    phi = max_entangled_ket(d)
     cols = []
     for p in pauli_operators(n_qubits):
         cols.append(np.kron(p, np.eye(d)) @ phi)
@@ -396,11 +360,6 @@ def compose_pauli_specs(first: PauliDiagonalSpec, second: PauliDiagonalSpec) -> 
     """
     if first.n_qubits != second.n_qubits:
         raise ChannelError("Pauli specs act on different qubit counts")
-    n = first.n_qubits
-    size = 4**n
-    out = np.zeros(size)
-    a, b = first.as_array(), second.as_array()
-    for i in range(size):
-        for j in range(size):
-            out[pauli_product_index(i, j, n)] += a[i] * b[j]
-    return PauliDiagonalSpec(tuple(out))
+    table = pauli_product_table(first.n_qubits)
+    weights = np.outer(first.as_array(), second.as_array())
+    return PauliDiagonalSpec(tuple(np.bincount(table.ravel(), weights.ravel())))

@@ -31,8 +31,9 @@ from .noise import (
     apply_noise_model,
     channel_from_entry,
     noise_model_from_config,
+    pauli_conjugations,
     pauli_operators,
-    pauli_product_index,
+    pauli_product_table,
 )
 
 
@@ -164,11 +165,7 @@ def _block_decorator(hw: NoiseModel | None, dim: int) -> Channel | None:
     """Noise channel appended after a building block of the given dimension."""
     if hw is None:
         return None
-    if isinstance(hw, BlockModel):
-        noise = hw.trailing
-    else:
-        n_wires = max(1, int(round(np.log2(dim) / np.log2(hw.channel_for(1).dim_in))))
-        noise = hw.channel_for(n_wires, "building-block")
+    noise = hw.trailing if isinstance(hw, BlockModel) else hw.per_wire
     if noise.dim_in != dim:
         n_factors = int(round(np.log(dim) / np.log(noise.dim_in)))
         if noise.dim_in**n_factors != dim:
@@ -321,8 +318,12 @@ def _is_depolarizing_spec(spec: PauliDiagonalSpec) -> bool:
     return bool(p.size == 4 and np.max(np.abs(rest - rest.mean())) < 1e-14)
 
 
+# largest residual, or excursion of a probability outside [0, 1], of a feasible Pauli solve
+_PAULI_ATOL = 1e-9
+
+
 def pauli_tailor(hw_pauli: PauliDiagonalSpec, base: PauliDiagonalSpec,
-                 target: PauliDiagonalSpec, atol: float = 1e-9):
+                 target: PauliDiagonalSpec):
     """Pick Pauli-correction probabilities turning base noise into target noise.
 
     The composite channel is hw . (sum_j lam_j P_j . P_j) . base; its Pauli
@@ -346,24 +347,19 @@ def pauli_tailor(hw_pauli: PauliDiagonalSpec, base: PauliDiagonalSpec,
         if abs(pq) < 1e-14:
             # everything maps to the uniform distribution
             resid = float(np.max(np.abs(t - 0.25)))
-            if resid <= atol:
+            if resid <= _PAULI_ATOL:
                 return PauliTailorResult(lam=np.full(4, 0.25), residual=resid, unique=False)
             return Infeasible(residual=resid)
         lam = (4 * t + pq - 1) / (4 * pq)
-        if lam.min() < -atol or lam.max() > 1 + atol:
+        if lam.min() < -_PAULI_ATOL or lam.max() > 1 + _PAULI_ATOL:
             return Infeasible(residual=float(max(-lam.min(), lam.max() - 1, 0.0)))
         lam = np.clip(lam, 0.0, 1.0)
         lam = lam / lam.sum()
         return PauliTailorResult(lam=lam, residual=0.0, unique=True)
 
-    conv = np.zeros(size)
-    for i in range(size):
-        for k in range(size):
-            conv[pauli_product_index(i, k, n)] += q[i] * p[k]
-    m_mat = np.zeros((size, size))
-    for row in range(size):
-        for j in range(size):
-            m_mat[row, j] = conv[pauli_product_index(row, j, n)]
+    table = pauli_product_table(n)
+    conv = np.bincount(table.ravel(), np.outer(q, p).ravel())
+    m_mat = conv[table]
 
     lam, *_ = np.linalg.lstsq(m_mat, t, rcond=None)
     rank = np.linalg.matrix_rank(m_mat, tol=1e-12)
@@ -381,7 +377,7 @@ def pauli_tailor(hw_pauli: PauliDiagonalSpec, base: PauliDiagonalSpec,
     if s > 0:
         lam = lam / s
     residual = float(np.max(np.abs(m_mat @ lam - t)))
-    if residual > atol:
+    if residual > _PAULI_ATOL:
         return Infeasible(residual=residual)
     return PauliTailorResult(lam=lam, residual=residual, unique=unique)
 
@@ -417,14 +413,12 @@ def ad_repeat_tailor(hw_p: float, target_p: float, n_max: int,
 
 
 def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
-                 hw: NoiseModel | None = None,
-                 theta_range: tuple[float, float] = (0.0, np.pi),
-                 grid: int = 49, xatol: float = 1e-8) -> TailoringRecipe:
-    """1-D tailoring of a rotation angle against a noisy circuit.
+                 hw: NoiseModel | None = None, grid: int = 49) -> TailoringRecipe:
+    """1-D tailoring of a rotation angle in [0, pi] against a noisy circuit.
 
     The objective is the Choi fidelity of the (noise-decorated) circuit's
     extracted channel to the target; a coarse grid scan locates the basin
-    and a bounded scalar minimization refines it.
+    and a bounded scalar minimization refines it to 1e-8.
     """
     evaluations = 0
 
@@ -436,14 +430,14 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
             c = apply_noise_model(c, hw)
         return choi_fidelity(extract_channel(c).channel, target)
 
-    lo, hi = theta_range
+    lo, hi = 0.0, np.pi
     thetas = np.linspace(lo, hi, grid)
     values = [fidelity_of(t) for t in thetas]
     i = int(np.argmax(values))
     step = (hi - lo) / (grid - 1)
     b_lo, b_hi = max(lo, thetas[i] - step), min(hi, thetas[i] + step)
     res = minimize_scalar(lambda t: -fidelity_of(t), bounds=(b_lo, b_hi),
-                          method="bounded", options={"xatol": xatol})
+                          method="bounded", options={"xatol": 1e-8})
     best_theta, best_f = (float(res.x), -float(res.fun))
     if values[i] > best_f:
         best_theta, best_f = float(thetas[i]), float(values[i])
@@ -451,7 +445,7 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
         method="tailored-circuit", achieved_fidelity=best_f,
         circuit_params={"theta": best_theta},
         evaluations=evaluations,
-        details={"grid": grid, "range": theta_range},
+        details={"grid": grid, "range": (lo, hi)},
     )
 
 
@@ -461,7 +455,6 @@ class ParametricCircuit:
 
     n_params: int
     build: Callable[[np.ndarray], "object"]
-    default_params: tuple[float, ...] = ()
     name: str = ""
 
 
@@ -486,11 +479,8 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
         except ChannelError:
             return 0.0
 
-    all_seeds = list(seeds)
-    if template.default_params:
-        all_seeds.insert(0, np.asarray(template.default_params, dtype=float))
     best_x, best_f, evals, converged = _maximize(objective, template.n_params,
-                                                 optimizer, seeds=all_seeds)
+                                                 optimizer, seeds=seeds)
     return TailoringRecipe(
         method="tailored-circuit", achieved_fidelity=best_f,
         circuit_params={"params": np.asarray(best_x)},
@@ -544,17 +534,16 @@ def blackbox_optimize(oracle: Callable[[np.ndarray], float], dim: int,
 
 def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
                                 blocks: Sequence[Channel],
-                                decorator: Channel | None = None,
-                                iterations: int = 120):
+                                decorator: Channel | None = None):
     """Best correlated (post, pre) mixture over a fixed block dictionary.
 
     Maximizes F(sum_ij p_ij post_i . input . pre_j, target) over the joint
     distribution only, with index 0 meaning skip; the blocks (optionally
     decorated by hardware noise) are held fixed, so all pair-product Choi
     states can be precomputed. Fidelity is concave in the distribution, so
-    Frank-Wolfe over the simplex converges to the global optimum. Returns
-    (posts, pres, probs, fidelity) ready to use as a building-block
-    candidate.
+    Frank-Wolfe over the simplex (at most 120 steps) converges to the
+    global optimum. Returns (posts, pres, probs, fidelity) ready to use as
+    a building-block candidate.
     """
     d = target.dim_in
     blocks = list(blocks)
@@ -586,7 +575,7 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
     probs = _vertex(n, i0, j0)
     f = vertex_f[i0, j0]
     eps = 1e-6
-    for _ in range(iterations):
+    for _ in range(120):
         # directional derivatives toward every vertex
         gains = np.full((n, n), -np.inf)
         for i in range(n):
@@ -617,21 +606,15 @@ def _vertex(n: int, i: int, j: int) -> np.ndarray:
 def standard_block_dictionary() -> list[Channel]:
     """Pauli conjugations plus the inverse 90-degree rotations: a compact
     dictionary covering twirling and rotation-recovery corrections."""
-    ops = list(pauli_operators(1))
-    for sigma in pauli_operators(1)[1:]:
-        ops.append((np.eye(2) - 1j * sigma) / np.sqrt(2))
-    return [Channel.from_unitary(u) for u in ops]
+    rotations = [(np.eye(2) - 1j * sigma) / np.sqrt(2) for sigma in pauli_operators(1)[1:]]
+    return pauli_conjugations() + [Channel.from_unitary(u) for u in rotations]
 
 
-def pauli_mixture_channel(probs: np.ndarray, hw: Channel | None = None) -> Channel:
-    """Channel sum_i probs_i P_i . P_i, each Pauli optionally noise-decorated."""
+def pauli_mixture_channel(probs: np.ndarray) -> Channel:
+    """Channel sum_i probs_i P_i . P_i."""
     probs = np.asarray(probs, dtype=float)
     n = int(round(np.log2(probs.size) / 2))
-    chans = []
-    for op in pauli_operators(n):
-        c = Channel.from_unitary(op)
-        chans.append(compose(hw, c) if hw is not None else c)
-    return mix(chans, probs / probs.sum())
+    return mix([Channel.from_unitary(op) for op in pauli_operators(n)], probs / probs.sum())
 
 
 # -- tailoring jobs ---------------------------------------------------------------

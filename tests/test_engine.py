@@ -6,6 +6,7 @@ wire permutation, and applies ``sum_i K rho K^dag`` on the full matrix.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,33 @@ def test_measure_checks_budget(monkeypatch):
     assert len(eng.branches) == 2
     for b, rho in zip(eng.branches, before):
         assert_close(b.rho, rho)
+
+
+def test_measure_holds_one_projector_at_a_time():
+    """A 128-level wire in a basis state: one projector and a few 0.25 MB
+    states are held at once, not all 128 projectors (33 MB)."""
+    d = 128
+    state = np.zeros((d, d), dtype=complex)
+    state[5, 5] = 1.0
+    eng = StateEngine()
+    h = eng.add_wires([d], state=state)
+    tracemalloc.start()
+    try:
+        eng.measure(h[0], "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [b.records for b in eng.branches] == [{"m": 5}]
+    assert peak < 2 * 1024**2
+
+
+def test_measure_lists_new_branches_branch_major():
+    eng = StateEngine()
+    h = eng.add_wires([2, 3], state=np.eye(6) / 6)
+    eng.measure(h[0], "a")
+    eng.measure(h[1], "b")
+    assert [(b.records["a"], b.records["b"]) for b in eng.branches] == [
+        (a, b) for a in range(2) for b in range(3)]
 
 
 def test_dimension_change_checks_budget(monkeypatch):

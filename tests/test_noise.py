@@ -29,6 +29,8 @@ from channel_forge.noise import (
     noise_model_from_config,
     pauli_conjugations,
     pauli_diagonal,
+    pauli_operators,
+    pauli_product_table,
     rotation_noise_b,
 )
 
@@ -84,6 +86,17 @@ def test_pauli_diagonal_closed_under_composition():
     assert weights is not None
     expected = compose_pauli_specs(a, b).as_array()
     assert np.max(np.abs(np.sort(weights) - np.sort(expected))) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_pauli_product_table_matches_operator_products(n_qubits):
+    ops = pauli_operators(n_qubits)
+    table = pauli_product_table(n_qubits)
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            product, expected = a @ b, ops[table[i, j]]
+            # equal up to a phase: |tr(P^dag Q)| = d exactly when Q = phase * P
+            assert abs(abs(np.trace(expected.conj().T @ product)) - len(a)) < 1e-12
 
 
 def test_pauli_diagonal_closed_under_mixing():
@@ -204,14 +217,6 @@ def test_gate_model_channel_insertions_get_noise():
     assert _count_noise_ops(noisy) == 1
 
 
-def test_gate_model_missing_arity_names_gate():
-    nm = GateModel(per_wire=None, per_arity={1: dephasing(0.9)})
-    c = Circuit(wires=[("q0", 2), ("q1", 2)])
-    c.gate(cnot(), [0, 1], name="cnot")
-    with pytest.raises(ChannelError, match="cnot"):
-        apply_noise_model(c, nm)
-
-
 def test_noise_model_config_parsing():
     nm = noise_model_from_config(
         {"kind": "gate", "channels": [{"name": "depolarizing", "q": 0.925},
@@ -228,13 +233,22 @@ def test_noise_model_config_parsing():
         channel_by_name("unknown_channel", q=0.5)
 
 
-def test_conditional_gate_noise_is_conditioned():
+@pytest.mark.parametrize("element", ["conditional_gate", "conditioned_channel"])
+def test_conditional_gate_noise_is_conditioned(element):
     c = Circuit(wires=[("q0", 2), ("anc", 2)], data_wires=(0,))
     c.gate(ry(np.pi / 2), [1], name="ry")
     c.measure(1, "m")
-    c.conditional_gate(np.array([[0, 1], [1, 0]], dtype=complex), [0], "m", 1, name="x")
+    if element == "conditional_gate":
+        c.conditional_gate(np.array([[0, 1], [1, 0]], dtype=complex), [0], "m", 1, name="x")
+    else:
+        c.channel(bit_flip(0.0), [0], condition=("m", 1))
     c.trace_out(1)
-    noisy = apply_noise_model(c, GateModel(amplitude_damping(0.5)))
+    noise = amplitude_damping(0.5)
+    noisy = apply_noise_model(c, GateModel(noise))
     conds = [el for el in noisy.elements
              if isinstance(el, ChannelOp) and el.is_noise and el.condition is not None]
     assert len(conds) == 1 and conds[0].condition == ("m", 1)
+    assert conds[0].wires == (0,) and conds[0].channel is noise
+    # the noise follows its element directly
+    k = next(i for i, el in enumerate(noisy.elements) if el is conds[0])
+    assert noisy.elements[k - 1] is c.elements[-2]

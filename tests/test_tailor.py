@@ -234,12 +234,13 @@ def test_full_circuit_degenerate_recovers_default():
     def build(params):
         return build_ad_circuit(params[0])
 
-    template = ParametricCircuit(n_params=1, build=build, default_params=(theta0,))
+    template = ParametricCircuit(n_params=1, build=build)
     from channel_forge.circuits import extract_channel
 
     target = extract_channel(build_ad_circuit(theta0)).channel
     rec = full_circuit_tailor(target, template,
-                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=150))
+                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=150),
+                              seeds=[np.array([theta0])])
     assert rec.achieved_fidelity > 1 - 1e-9
 
 
@@ -252,10 +253,10 @@ def test_full_circuit_k1_matches_theta_tailor():
     def build(params):
         return build_ad_circuit(params[0])
 
-    template = ParametricCircuit(n_params=1, build=build,
-                                 default_params=(theta_rec.circuit_params["theta"],))
+    template = ParametricCircuit(n_params=1, build=build)
     rec = full_circuit_tailor(target, template, hw,
-                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=120))
+                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=120),
+                              seeds=[np.array([theta_rec.circuit_params["theta"]])])
     assert rec.achieved_fidelity >= theta_rec.achieved_fidelity - 1e-9
 
 
