@@ -12,6 +12,7 @@ gradient-free method and no knowledge of the underlying noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -20,7 +21,15 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
-from .channels import Channel, ChannelError, channel_to_dict, choi_fidelity, compose, mix
+from .channels import (
+    TRACE_ATOL,
+    Channel,
+    ChannelError,
+    channel_to_dict,
+    choi_fidelity,
+    compose,
+    mix,
+)
 from .circuits import build_ad_circuit, extract_channel
 from .linalg import read_field, refuse_unknown_keys, reshuffle, uhlmann_fidelity
 from .noise import (
@@ -61,15 +70,20 @@ class TailoringRecipe:
 # -- CPTP parameterization ----------------------------------------------------
 
 
-def _hermitian_from_params(v: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian n x n matrix: diagonal v[:n], then (re, im) pairs of the
-    upper triangle in row-major order."""
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = v[:n]
-    rows, cols = np.triu_indices(n, k=1)
-    h[rows, cols] = v[n::2] + 1j * v[n + 1::2]
-    h[cols, rows] = v[n::2] - 1j * v[n + 1::2]
-    return h
+@functools.lru_cache(maxsize=None)
+def _generator_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, then the row and column indices of the strict upper triangle,
+    of an n x n matrix."""
+    return (np.arange(n), *np.triu_indices(n, k=1))
+
+
+def _check_isometries(kraus: np.ndarray) -> None:
+    """ChannelError unless every Kraus set of the stack ``(blocks, k, d_out, d_in)``
+    satisfies ``sum K^dag K = 1`` within ``TRACE_ATOL``."""
+    completeness = np.einsum("bkji,bkjl->bil", kraus.conj(), kraus)
+    dev = float(np.max(np.abs(completeness - np.eye(kraus.shape[-1]))))
+    if not dev <= TRACE_ATOL:  # NaN fails too
+        raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +91,9 @@ class CPTPParameterization:
     """Channels encoded by a Stinespring unitary on system (x) ancilla.
 
     The unitary is exp(iH) for a Hermitian generator H parameterized by
-    ``n_params`` reals; the decoded channel's Kraus operators are the
-    ancilla blocks of the unitary's first block column; CPTP holds by
+    ``n_params`` reals: the diagonal first, then (re, im) pairs of the upper
+    triangle in row-major order. The decoded channel's Kraus operators are
+    the ancilla blocks of the unitary's first block column; CPTP holds by
     construction for every parameter vector.
     """
 
@@ -89,13 +104,24 @@ class CPTPParameterization:
     def n_params(self) -> int:
         return (self.dim * self.ancilla_dim) ** 2
 
+    def kraus_stack(self, params: np.ndarray) -> np.ndarray:
+        """Kraus operators ``(blocks, ancilla_dim, dim, dim)`` of ``params`` read as
+        ``blocks`` consecutive parameter vectors: one batched exponential, and one
+        completeness check of the whole stack at ``TRACE_ATOL`` (ChannelError)."""
+        n, d = self.dim * self.ancilla_dim, self.dim
+        v = np.asarray(params, dtype=float).reshape(-1, self.n_params)
+        diag, rows, cols = _generator_indices(n)
+        h = np.zeros((len(v), n, n), dtype=np.complex128)
+        h[:, diag, diag] = v[:, :n]
+        h[:, rows, cols] = v[:, n::2] + 1j * v[:, n + 1::2]
+        h[:, cols, rows] = v[:, n::2] - 1j * v[:, n + 1::2]
+        kraus = expm(1j * h)[:, :, :d].reshape(len(v), self.ancilla_dim, d, d)
+        _check_isometries(kraus)
+        return kraus
+
     def decode(self, params: np.ndarray) -> Channel:
-        n = self.dim * self.ancilla_dim
-        h = _hermitian_from_params(np.asarray(params, dtype=float), n)
-        u = expm(1j * h)
-        d = self.dim
-        kraus = [u[i * d : (i + 1) * d, :d] for i in range(self.ancilla_dim)]
-        return Channel.from_kraus(kraus)
+        """The channel of one parameter vector, from :meth:`kraus_stack`."""
+        return Channel.from_kraus(self.kraus_stack(params)[0])
 
 
 # -- gradient-free maximization ------------------------------------------------
@@ -176,31 +202,64 @@ def _block_decorator(hw: NoiseModel | None, dim: int) -> Channel | None:
     return noise
 
 
-def _block_superops(blocks: Sequence[Channel], decorator: Channel | None) -> list:
-    """[None] (skip) followed by each block's superoperator, decorated by
-    ``decorator`` when one is given."""
-    return [None] + [
-        (compose(decorator, b) if decorator is not None else b).superop() for b in blocks
-    ]
+def _block_superops(blocks: Sequence[Channel], decorator: Channel | None,
+                    dim: int) -> np.ndarray:
+    """Superoperators ``(len(blocks), dim**2, dim**2)`` of the blocks, each
+    decorated by ``decorator`` when one is given."""
+    sups = [(compose(decorator, b) if decorator is not None else b).superop() for b in blocks]
+    return np.reshape(np.array(sups, dtype=np.complex128), (-1, dim * dim, dim * dim))
 
 
-def _mixture_fidelity(input_superop: np.ndarray, post_superops: list, pre_superops: list,
-                      probs: np.ndarray, target_choi: np.ndarray) -> float:
-    """F(sum_ij p_ij post_i . input . pre_j, target) with index 0 = skip;
-    0.0 where the fidelity is undefined."""
-    d = math.isqrt(input_superop.shape[0])
-    s = np.zeros_like(input_superop)
-    for i, sp in enumerate(post_superops):
-        left = sp @ input_superop if sp is not None else input_superop
-        for j, sq in enumerate(pre_superops):
-            if probs[i, j] == 0.0:
-                continue
-            term = left @ sq if sq is not None else left
-            s += probs[i, j] * term
+def _kraus_superops(kraus: np.ndarray, decorator: Channel | None) -> np.ndarray:
+    """:func:`_block_superops` of the channels of a Kraus stack, bit for bit,
+    without building a Channel per block."""
+    blocks, n_kraus, d, _ = kraus.shape
+    vecs = kraus.reshape(blocks, n_kraus, d * d)
+    choi = np.zeros((blocks, d * d, d * d), dtype=np.complex128)
+    for i in range(n_kraus):  # Channel.from_kraus, stacked
+        choi += vecs[:, i, :, None] * vecs[:, i, None, :].conj()
+    choi /= d
+    sups = reshuffle(choi, d, d) * d
+    if decorator is None:
+        return sups
+    # compose() keeps the product as a Choi state (/ d) and superop() scales it back
+    return (decorator.superop() @ sups / d) * d
+
+
+def _pair_products(input_superop: np.ndarray, post_superops: np.ndarray,
+                   pre_superops: np.ndarray) -> np.ndarray:
+    """Superoperators post_i . input . pre_j as ``(n_post + 1, n_pre + 1, D, D)``,
+    where index 0 on either side is skip."""
+    lefts = np.concatenate([input_superop[None], post_superops @ input_superop])
+    return np.concatenate([lefts[:, None], lefts[:, None] @ pre_superops], axis=1)
+
+
+def _weighted_sum(tables: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_ij tables[..., i, j] * terms[i, j] without the product array; einsum adds
+    the terms from zero in row-major (i, j) order, as a loop of ``+=`` would."""
+    return np.einsum("...ij,ijpq->...pq", tables, terms)
+
+
+def _fidelities(chois: np.ndarray, target_choi: np.ndarray):
+    """Uhlmann fidelity of each Choi state (one, or a stack) to the target; a
+    state that fails the kernel's Hermitian or PSD check scores 0.0 on its own."""
     try:
-        return uhlmann_fidelity(reshuffle(s, d, d) / d, target_choi)
+        return uhlmann_fidelity(chois, target_choi)
     except ValueError:
-        return 0.0
+        if chois.ndim == 2:
+            return 0.0
+        return np.array([_fidelities(c, target_choi) for c in chois])
+
+
+def _mixture_fidelity(input_superop: np.ndarray, post_superops: np.ndarray,
+                      pre_superops: np.ndarray, probs: np.ndarray,
+                      target_choi: np.ndarray) -> float:
+    """F(sum_ij p_ij post_i . input . pre_j, target) with index 0 = skip, from
+    stacks of the decorated block superoperators; 0.0 where the fidelity is
+    undefined."""
+    d = math.isqrt(input_superop.shape[0])
+    s = _weighted_sum(probs, _pair_products(input_superop, post_superops, pre_superops))
+    return _fidelities(reshuffle(s, d, d) / d, target_choi)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -251,25 +310,21 @@ def building_block_optimize(target: Channel, input_impl: Channel,
     input_sup = input_impl.superop()
     target_choi = target.choi
 
-    def unpack(x: np.ndarray):
-        posts = [param.decode(x[k * g : (k + 1) * g]) for k in range(n_post)]
-        offset = n_post * g
-        pres = [param.decode(x[offset + k * g : offset + (k + 1) * g]) for k in range(n_pre)]
-        logits = x[(n_post + n_pre) * g :]
-        probs = _softmax(logits).reshape(n_post + 1, n_pre + 1)
-        return posts, pres, probs
+    def probs_of(x: np.ndarray) -> np.ndarray:
+        return _softmax(x[(n_post + n_pre) * g :]).reshape(n_post + 1, n_pre + 1)
 
     def objective(x: np.ndarray) -> float:
-        posts, pres, probs = unpack(x)
-        return _mixture_fidelity(input_sup, _block_superops(posts, decorator),
-                                 _block_superops(pres, decorator), probs, target_choi)
+        sups = _kraus_superops(param.kraus_stack(x[: (n_post + n_pre) * g]), decorator)
+        return _mixture_fidelity(input_sup, sups[:n_post], sups[n_post:], probs_of(x),
+                                 target_choi)
 
     # seed at the direct corner (skip everything)
     direct_seed = np.zeros(n_params)
     direct_seed[(n_post + n_pre) * g] = 30.0
     best_x, best_f, evals, converged = _maximize(objective, n_params,
                                                  config.optimizer, seeds=[direct_seed])
-    posts, pres, probs = unpack(best_x)
+    blocks = [param.decode(best_x[k * g : (k + 1) * g]) for k in range(n_post + n_pre)]
+    posts, pres, probs = blocks[:n_post], blocks[n_post:], probs_of(best_x)
     details = {"placement": config.placement, "noisy_blocks": config.noisy_blocks}
     best = TailoringRecipe(
         method="building-block", achieved_fidelity=best_f,
@@ -278,8 +333,8 @@ def building_block_optimize(target: Channel, input_impl: Channel,
     )
     for cand_posts, cand_pres, cand_probs in [([], [], np.ones((1, 1))), *extra_candidates]:
         cand_probs = np.asarray(cand_probs, dtype=float)
-        f = _mixture_fidelity(input_sup, _block_superops(cand_posts, decorator),
-                              _block_superops(cand_pres, decorator), cand_probs, target_choi)
+        f = _mixture_fidelity(input_sup, _block_superops(cand_posts, decorator, d),
+                              _block_superops(cand_pres, decorator, d), cand_probs, target_choi)
         if f > best.achieved_fidelity:
             best = TailoringRecipe(
                 method="building-block", achieved_fidelity=f,
@@ -547,46 +602,29 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
     """
     d = target.dim_in
     blocks = list(blocks)
-    sups = _block_superops(blocks, decorator)
-    s_in = input_impl.superop()
-    n = len(sups)
-    pair_chois = np.empty((n, n), dtype=object)
-    for i, sp in enumerate(sups):
-        left = sp @ s_in if sp is not None else s_in
-        for j, sq in enumerate(sups):
-            s = left @ sq if sq is not None else left
-            pair_chois[i, j] = reshuffle(s, d, d) / d
+    sups = _block_superops(blocks, decorator, d)
+    pair_chois = reshuffle(_pair_products(input_impl.superop(), sups, sups), d, d) / d
     target_choi = target.choi
 
-    def fidelity_of(probs: np.ndarray) -> float:
-        choi = np.zeros_like(target_choi)
-        for i in range(n):
-            for j in range(n):
-                if probs[i, j] > 0.0:
-                    choi += probs[i, j] * pair_chois[i, j]
-        try:
-            return uhlmann_fidelity(choi, target_choi)
-        except ValueError:
-            return 0.0
+    def fidelities(tables: np.ndarray):
+        """Fidelity of the mixture of each (n, n) probability table in ``tables``."""
+        return _fidelities(_weighted_sum(tables, pair_chois), target_choi)
 
     # start from the best vertex (includes the direct corner at (0, 0))
-    vertex_f = np.array([[fidelity_of(_vertex(n, i, j)) for j in range(n)] for i in range(n)])
-    i0, j0 = np.unravel_index(np.argmax(vertex_f), vertex_f.shape)
-    probs = _vertex(n, i0, j0)
-    f = vertex_f[i0, j0]
+    n = len(pair_chois)
+    vertices = np.eye(n * n).reshape(n * n, n, n)
+    vertex_f = fidelities(vertices)
+    k = int(np.argmax(vertex_f))
+    probs, f = vertices[k], vertex_f[k]
     eps = 1e-6
     for _ in range(120):
         # directional derivatives toward every vertex
-        gains = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(n):
-                step = probs + eps * (_vertex(n, i, j) - probs)
-                gains[i, j] = fidelity_of(step) - f
-        vi, vj = np.unravel_index(np.argmax(gains), gains.shape)
-        if gains[vi, vj] <= 1e-14:
+        gains = fidelities(probs + eps * (vertices - probs)) - f
+        k = int(np.argmax(gains))
+        if gains[k] <= 1e-14:
             break
-        direction = _vertex(n, vi, vj) - probs
-        res = minimize_scalar(lambda t: -fidelity_of(probs + t * direction),
+        direction = vertices[k] - probs
+        res = minimize_scalar(lambda t: -fidelities(probs + t * direction),
                               bounds=(0.0, 1.0), method="bounded",
                               options={"xatol": 1e-10})
         t_best, f_best = float(res.x), -float(res.fun)
@@ -595,12 +633,6 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
         probs = probs + t_best * direction
         f = f_best
     return blocks, blocks, probs, f
-
-
-def _vertex(n: int, i: int, j: int) -> np.ndarray:
-    v = np.zeros((n, n))
-    v[i, j] = 1.0
-    return v
 
 
 def standard_block_dictionary() -> list[Channel]:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from channel_forge.channels import choi_fidelity, compose
 from channel_forge.linalg import (
     complete_orthonormal_columns,
     dagger,
@@ -94,6 +97,68 @@ def test_uhlmann_fidelity_symmetric():
 def test_uhlmann_fidelity_rejects_genuinely_negative():
     with pytest.raises(ValueError):
         uhlmann_fidelity(np.diag([1.1, -0.1]), np.eye(2) / 2)
+
+
+def random_state(dim, rank, rng):
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 9), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_uhlmann_fidelity_stack_matches_single_calls_bit_for_bit(dim, size, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_state(dim, rng.integers(1, dim + 1), rng) for _ in range(size)])
+    # a degenerate member: equal eigenvalues and exact zeros
+    stack[0] = np.diag(np.repeat([1.0, 0.0], [dim - dim // 2, dim // 2])) / (dim - dim // 2)
+    b = random_state(dim, rng.integers(1, dim + 1), rng)
+    fs = uhlmann_fidelity(stack, b)
+    assert fs.shape == (size,)
+    for k in range(size):
+        single = uhlmann_fidelity(stack[k], b)
+        assert isinstance(single, float)
+        assert fs[k] == single
+    assert np.array_equal(uhlmann_fidelity(stack.reshape(1, size, dim, dim), b), fs[None])
+
+
+def test_uhlmann_fidelity_large_stack_matches_single_calls():
+    # enough members that the final squaring rounds differently from np.square in some
+    rng = np.random.default_rng(8)
+    stack = np.array([random_state(4, 1 + k % 4, rng) for k in range(2000)])
+    b = random_state(4, 3, rng)
+    assert uhlmann_fidelity(stack, b).tolist() == [uhlmann_fidelity(m, b) for m in stack]
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+    np.diag([1.1, -0.1]),  # not PSD
+])
+def test_uhlmann_fidelity_stack_with_one_bad_member_raises(bad):
+    rng = np.random.default_rng(6)
+    stack = np.array([random_state(2, 2, rng), bad, random_state(2, 1, rng)])
+    with pytest.raises(ValueError):
+        uhlmann_fidelity(stack, np.eye(2) / 2)
+
+
+def test_choi_fidelity_pins_at_the_fig5_direct_points():
+    from channel_forge.figures import FIG5B_GAMMA, FIG5B_Q
+    from channel_forge.noise import amplitude_damping, bit_flip, depolarizing_white, rotation_noise_b
+
+    target = bit_flip(0.95)
+    assert 1 - choi_fidelity(compose(rotation_noise_b(0.8), target), target) \
+        == 0.07139290888048644
+    noisy_input = compose(depolarizing_white(FIG5B_Q), amplitude_damping(FIG5B_GAMMA))
+    assert 1 - choi_fidelity(noisy_input, depolarizing_white(0.5)) == 0.10360966909825009
+
+
+def test_reshuffle_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((2, 3, 4, 9)) + 1j * rng.standard_normal((2, 3, 4, 9))
+    out = reshuffle(m, 2, 3)
+    assert out.shape == (2, 3, 6, 6)
+    assert all(np.array_equal(out[i, j], reshuffle(m[i, j], 2, 3))
+               for i in range(2) for j in range(3))
 
 
 def test_complete_orthonormal_columns_unitary():

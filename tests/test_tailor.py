@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from channel_forge.channels import (
+    Channel,
     ChannelError,
     choi_fidelity,
     compose,
     validate_cptp,
 )
 from channel_forge.circuits import build_ad_circuit
+from channel_forge.linalg import reshuffle
 from channel_forge.noise import (
     BlockModel,
     PauliDiagonalSpec,
@@ -54,6 +56,81 @@ def test_cptp_parameterization_decodes_valid_channels():
         v = RNG.standard_normal(param.n_params)
         ch = param.decode(v)
         assert validate_cptp(ch).passed
+
+
+@pytest.mark.parametrize("dim, ancilla_dim", [(2, 2), (2, 4), (3, 2)])
+def test_decode_is_the_channel_of_the_kraus_stack(dim, ancilla_dim):
+    param = CPTPParameterization(dim=dim, ancilla_dim=ancilla_dim)
+    g = param.n_params
+    x = RNG.standard_normal(3 * g)
+    stack = param.kraus_stack(x)
+    assert stack.shape == (3, ancilla_dim, dim, dim)
+    decoded = [param.decode(x[k * g : (k + 1) * g]) for k in range(3)]
+    for k, ch in enumerate(decoded):
+        assert np.array_equal(ch.choi, Channel.from_kraus(stack[k]).choi)
+    # the objective's stacked superoperators are those of the decoded channels, bit for bit
+    for deco in (None, param.decode(0.3 * RNG.standard_normal(g))):
+        assert np.array_equal(tailor._kraus_superops(stack, deco),
+                              tailor._block_superops(decoded, deco, dim))
+
+
+def loop_mixture(input_sup, post_sups, pre_sups, probs):
+    """The mixture's superoperator term by term, zero weights skipped: the
+    reference for the stacked products and weighted sum."""
+    s = np.zeros_like(input_sup)
+    for i, sp in enumerate([None, *post_sups]):
+        left = sp @ input_sup if sp is not None else input_sup
+        for j, sq in enumerate([None, *pre_sups]):
+            if probs[i, j] != 0.0:
+                s += probs[i, j] * (left @ sq if sq is not None else left)
+    return s
+
+
+@pytest.mark.parametrize("n_post, n_pre", [(2, 2), (0, 3), (3, 0), (1, 4)])
+def test_stacked_mixture_matches_the_term_by_term_loop(n_post, n_pre):
+    param = CPTPParameterization(dim=2, ancilla_dim=2)
+    decorator = param.decode(0.3 * RNG.standard_normal(param.n_params))
+    sups = tailor._kraus_superops(
+        param.kraus_stack(RNG.standard_normal((n_post + n_pre) * param.n_params)), decorator)
+    posts, pres = sups[:n_post], sups[n_post:]
+    input_sup = compose(decorator, amplitude_damping(0.2)).superop()
+    tables = RNG.dirichlet(np.ones((n_post + 1) * (n_pre + 1)), size=5)
+    tables[0, ::2] = 0.0
+    tables = tables.reshape(5, n_post + 1, n_pre + 1)
+    terms = tailor._pair_products(input_sup, posts, pres)
+    stacked = tailor._weighted_sum(tables, terms)
+    for k, probs in enumerate(tables):
+        reference = loop_mixture(input_sup, posts, pres, probs)
+        assert np.array_equal(tailor._weighted_sum(probs, terms), reference)
+        assert np.array_equal(stacked[k], reference)
+
+
+def test_kraus_stack_that_is_not_an_isometry_raises():
+    param = CPTPParameterization(dim=2, ancilla_dim=2)
+    stack = param.kraus_stack(RNG.standard_normal(2 * param.n_params))
+    tailor._check_isometries(stack)
+    bad = stack.copy()
+    bad[1] *= 1.001
+    with pytest.raises(ChannelError, match="completeness"):
+        tailor._check_isometries(bad)
+    with pytest.raises(ChannelError, match="completeness"), np.errstate(invalid="ignore"):
+        param.kraus_stack(np.full(param.n_params, np.nan))
+
+
+def test_a_state_failing_the_check_scores_zero_on_its_own():
+    target = bit_flip(0.9).choi
+    good = [depolarizing_white(q).choi for q in (0.5, 0.9)]
+    not_psd = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    stack = np.array([good[0], not_psd, good[1]])
+    scores = tailor._fidelities(stack, target)
+    assert scores.tolist() == [choi_fidelity(depolarizing_white(0.5), bit_flip(0.9)), 0.0,
+                               choi_fidelity(depolarizing_white(0.9), bit_flip(0.9))]
+    assert tailor._fidelities(not_psd, target) == 0.0
+    # a mixture whose Choi state is not PSD scores 0.0 instead of raising
+    not_cp = reshuffle(not_psd * 2, 2, 2)
+    probs = np.array([[0.0, 1.0]])
+    assert tailor._mixture_fidelity(bit_flip(0.9).superop(), np.empty((0, 4, 4)),
+                                    not_cp[None], probs, target) == 0.0
 
 
 # -- pauli tailoring -----------------------------------------------------------
