@@ -33,6 +33,7 @@ from .linalg import (
     encode_complex,
     hermitian_eigensystem,
     is_hermitian,
+    kron,
     matrix_rank_by_cutoff,
     min_eigenvalue,
     partial_trace,
@@ -186,7 +187,7 @@ def kraus_to_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
     dim_out, dim_in = ops[0].shape
     s = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=np.complex128)
     for k in ops:
-        s += np.kron(k, k.conj())
+        s += kron(k, k.conj())
     return s
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .channels import Channel, ChannelError, channel_to_dict, check_unitary, mix
 from .engine import MAX_TOTAL_DIMENSION, StateEngine, permute_factors
-from .linalg import (as_complex, decode_complex, encode_complex, max_entangled_ket, parse_each,
-                     read_field, refuse_unknown_keys)
+from .linalg import (as_complex, decode_complex, encode_complex, kron, max_entangled_ket,
+                     parse_each, read_field, refuse_unknown_keys)
 from .noise import PAULI_X, PAULI_Y, PAULI_Z, channel_from_entry
 
 # -- named gates --------------------------------------------------------------
@@ -180,7 +180,7 @@ class Circuit:
     def gate(self, unitary: np.ndarray, wires: Sequence[int], name: str = "") -> "Circuit":
         wires = self._check_wires(wires)
         unitary = as_complex(unitary)
-        d = int(np.prod([self.wires[w][1] for w in wires]))
+        d = math.prod(self.wires[w][1] for w in wires)
         if unitary.shape != (d, d):
             raise ChannelError(f"gate shape {unitary.shape} does not match wires {wires}")
         self.elements.append(Gate(unitary=unitary, wires=wires, name=name))
@@ -189,7 +189,7 @@ class Circuit:
     def channel(self, ch: Channel, wires: Sequence[int], name: str = "", is_noise: bool = False,
                 condition: tuple[str, int] | None = None) -> "Circuit":
         wires = self._check_wires(wires)
-        d = int(np.prod([self.wires[w][1] for w in wires]))
+        d = math.prod(self.wires[w][1] for w in wires)
         if ch.dim_in != d or ch.dim_out != d:
             raise ChannelError(f"channel dims ({ch.dim_in},{ch.dim_out}) do not match wires {wires}")
         self.elements.append(ChannelOp(channel=ch, wires=wires, is_noise=is_noise,
@@ -279,17 +279,17 @@ def _initial_engine(circuit: Circuit, rho_in: np.ndarray | None,
         for w in ancillas:
             anc = np.zeros(dims[w], dtype=np.complex128)
             anc[0] = 1.0
-            ket = np.kron(ket, anc)
+            ket = kron(ket[:, None], anc[:, None]).reshape(-1)
         rho0 = np.outer(ket, ket.conj())
     else:
         rho0 = as_complex(rho_in)
-        d_data = int(np.prod([dims[w] for w in data])) if data else 1
+        d_data = math.prod(dims[w] for w in data)
         if rho0.shape != (d_data, d_data):
             raise ChannelError(f"input state shape {rho0.shape} does not match data wires {data}")
         for w in ancillas:
             anc = np.zeros((dims[w], dims[w]), dtype=np.complex128)
             anc[0, 0] = 1.0
-            rho0 = np.kron(rho0, anc)
+            rho0 = kron(rho0, anc)
     # permute factors from build order to engine order (wire index order, refs last)
     build_order = list(data) + [n + i for i in range(len(ref_dims))] + ancillas
     target_order = list(range(n)) + [n + i for i in range(len(ref_dims))]
@@ -330,7 +330,7 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     data = circuit.data()
     dims = circuit.wire_dims()
     data_dims = [dims[w] for w in data]
-    d = int(np.prod(data_dims))
+    d = math.prod(data_dims)
     ket = max_entangled_ket(d)
     engine, handle_of, ref_handles = _initial_engine(
         circuit, None, extra_ref_dims=data_dims, joint_ket=ket

@@ -47,9 +47,14 @@ EXIT_CONFIG = 2
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("CHANNEL_FORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Log at the level CHANNEL_FORGE_LOG names (default WARNING); ChannelError
+    for a value that is not a level name."""
+    value = os.environ.get("CHANNEL_FORGE_LOG", "WARNING")
+    level = logging.getLevelName(value.upper())
+    if not isinstance(level, int):
+        raise ChannelError(f"CHANNEL_FORGE_LOG={value!r} is not a logging level name "
+                           "(DEBUG, INFO, WARNING, ERROR or CRITICAL)")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _output(out: str | None):
@@ -286,7 +291,7 @@ def cmd_simulate(args) -> int:
     circuit = circuit_from_dict(_load_config_file(args.circuit))
     dims = circuit.wire_dims()
     data = circuit.data()
-    d = int(np.prod([dims[w] for w in data]))
+    d = math.prod(dims[w] for w in data)
     if args.state is None or args.state.isdigit():
         index = int(args.state or 0)
         if index >= d:
@@ -399,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    try:
+        _setup_logging()
+    except ChannelError as exc:  # no logging yet: the one line below is the report
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, ChannelError, kraus_to_superop
-from .linalg import as_complex, partial_trace
+from .linalg import as_complex, kron, partial_trace
 
 BRANCH_PROB_FLOOR = 1e-15
 
@@ -38,7 +38,7 @@ def permute_factors(rho: np.ndarray, dims: list[int], perm: list[int]) -> np.nda
     t = rho.reshape(dims + dims)
     axes = list(perm) + [n + p for p in perm]
     t = t.transpose(axes)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.reshape(d, d)
 
 
@@ -50,17 +50,22 @@ def _check_memory(branches: int, dim: int) -> None:
 
 
 def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]) -> np.ndarray:
-    """Contract the row-major matrix ``m`` into the given axes of the tensor ``t``.
+    """Contract the row-major ``d_out x d_in`` matrix ``m`` into the given axes of
+    the tensor ``t``; the output axes, of ``out_dims``, take their place.
 
-    Reshaped to ``out_dims + in_dims``, the input axes of ``m`` pair with
-    ``axes`` in one tensordot, and one moveaxis puts its output axes back in
-    their place.
+    The contracted axes are transposed to the front and the rest flattened,
+    so the contraction is one ``np.dot`` of ``m`` with that ``d_in``-row
+    matrix; its rows are split into ``out_dims`` and one transpose by the
+    inverse permutation puts them back. These are the operands and the BLAS
+    call of numpy's tensor-dot contraction followed by an axis move, so the
+    bits are the same, without those wrappers' per-call axis normalisation.
     """
-    k = len(axes)
-    in_dims = [t.shape[a] for a in axes]
-    m = m.reshape(list(out_dims) + in_dims)
-    t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(t, list(range(k)), list(axes))
+    rest = [a for a in range(t.ndim) if a not in axes]
+    perm = list(axes) + rest
+    rest_dims = [t.shape[a] for a in rest]
+    cols = t.transpose(perm).reshape(m.shape[1], math.prod(rest_dims))
+    out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
+    return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _operator_form(k: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -90,7 +95,7 @@ class StateEngine:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.dims else 1
+        return math.prod(self.dims)
 
     def axis_of(self, handle: int) -> int:
         try:
@@ -100,7 +105,7 @@ class StateEngine:
 
     def add_wires(self, dims: list[int], state: np.ndarray | None = None) -> list[int]:
         """Append wires (joint initial state defaults to |0...0>)."""
-        d_new = int(np.prod(dims))
+        d_new = math.prod(dims)
         if self.total_dim * d_new > MAX_TOTAL_DIMENSION:
             raise ChannelError(
                 f"total dimension {self.total_dim * d_new} exceeds engine cap {MAX_TOTAL_DIMENSION}"
@@ -120,7 +125,7 @@ class StateEngine:
             new_handles.append(self._next_handle)
             self._next_handle += 1
         for b in self.branches:
-            b.rho = np.kron(b.rho, state)
+            b.rho = kron(b.rho, state)
         return new_handles
 
     def trace_out(self, handle: int) -> None:
@@ -160,7 +165,7 @@ class StateEngine:
             raise ChannelError(f"wires {list(wires)} repeat a wire")
         in_dims = [self.dims[a] for a in axes]
         out_dims = in_dims if out_dims is None else list(out_dims)
-        d_in, d_out = int(np.prod(in_dims)), int(np.prod(out_dims))
+        d_in, d_out = math.prod(in_dims), math.prod(out_dims)
         expected = (d_out, d_in) if single else (d_out**2, d_in**2)
         if op.shape != expected:
             raise ChannelError(f"operation of shape {op.shape} does not map wire dims "
@@ -174,7 +179,7 @@ class StateEngine:
         new_dims = list(self.dims)
         for a, d in zip(axes, out_dims):
             new_dims[a] = d
-        _check_memory(len(self.branches), int(np.prod(new_dims)))
+        _check_memory(len(self.branches), math.prod(new_dims))
         for b in branches:
             b.rho = self._evolve(b.rho, op, single, axes, out_dims)
         self.dims = new_dims

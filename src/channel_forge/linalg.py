@@ -109,6 +109,13 @@ def as_complex(m) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(m, dtype=np.complex128))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices as one broadcast multiply: the element
+    products ``np.kron`` forms, so the same bits, without its per-call wrappers."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack ``(..., r, c)``."""
     return m.conj().swapaxes(-1, -2)
@@ -132,6 +139,17 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape(rows, rows)
 
 
+def _hermitian_part(m, name: str) -> np.ndarray:
+    """(M + M^dag) / 2 of a matrix or stack; ValueError naming ``name`` unless
+    ||M - M^dag||_max <= 1e-10."""
+    m = as_complex(m)
+    m_dag = dagger(m)
+    dev = float(np.max(np.abs(m - m_dag)))
+    if dev > 1e-10:
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} > 1.0e-10")
+    return (m + m_dag) / 2
+
+
 def hermitian_eigensystem(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack
     ``(..., n, n)``, eigenvalues descending (eigenvectors are the columns).
@@ -139,12 +157,7 @@ def hermitian_eigensystem(m: np.ndarray):
     Raises ValueError when the input (any member of a stack) is not Hermitian
     within 1e-10.
     """
-    m = as_complex(m)
-    m_dag = dagger(m)
-    dev = float(np.max(np.abs(m - m_dag)))
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > 1.0e-10")
-    vals, vecs = np.linalg.eigh((m + m_dag) / 2)
+    vals, vecs = np.linalg.eigh(_hermitian_part(m, "matrix"))
     # eigh's eigenvalues ascend, so reversing orders them descending (ties in eigh's order)
     return vals[..., ::-1], vecs[..., ::-1]
 
@@ -195,11 +208,13 @@ def uhlmann_fidelity(a: np.ndarray, b: np.ndarray):
     array of shape ``a.shape[:-2]`` whose entries equal the single-matrix
     results bit for bit. ``b`` is checked once per call; each member of ``a``
     is checked through the eigendecomposition that also gives its square
-    root. Inputs must be Hermitian with eigenvalues >= -1e-10; roundoff-
-    negative eigenvalues are clamped to zero, and anything more negative, in
-    any member of a stack, raises ValueError.
+    root. Inputs must be Hermitian within 1e-10 with eigenvalues >= -1e-10;
+    roundoff-negative eigenvalues are clamped to zero, and anything more
+    negative, or a non-Hermitian input, in any member of a stack, raises
+    ValueError.
     """
-    lo = min_eigenvalue(b)
+    b = as_complex(b)
+    lo = float(np.linalg.eigvalsh(_hermitian_part(b, "second state"))[0])
     if lo < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"second state is not PSD: min eigenvalue {lo:.3e}")
     vals, vecs = hermitian_eigensystem(a)
@@ -207,7 +222,7 @@ def uhlmann_fidelity(a: np.ndarray, b: np.ndarray):
     if lo < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"first state is not PSD: min eigenvalue {lo:.3e}")
     sa = (vecs * _floored_sqrt_eigs(vals)[..., None, :]) @ dagger(vecs)
-    inner = sa @ as_complex(b) @ sa
+    inner = sa @ b @ sa
     inner_vals = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
     # float_power squares with libm pow for one matrix and for a stack alike, as a
     # float scalar's ** 2 does. np.square (an array's ** 2) rounds differently in
@@ -236,7 +251,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     t = m.reshape(dims + dims)
     for ax in sorted(traced, reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return t.reshape(d_keep, d_keep)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_forge.channels import (
     Channel,
@@ -15,7 +17,8 @@ from channel_forge.channels import (
     validate_cptp,
     validate_density,
 )
-from channel_forge.linalg import dagger, max_entangled_ket, reshuffle, unvectorize, vectorize
+from channel_forge.linalg import (dagger, kron, max_entangled_ket, reshuffle, unvectorize,
+                                  vectorize)
 from channel_forge.noise import (
     PAULI_X,
     PAULI_Y,
@@ -92,6 +95,48 @@ def test_choi_to_kraus_round_trip_rank3():
     rebuilt = Channel.from_kraus(Channel.from_choi(ch.choi, 2, 2).kraus())
     assert choi_fidelity(rebuilt, ch) > 1 - 1e-10
     assert np.max(np.abs(rebuilt.choi - ch.choi)) < 1e-10
+
+
+def planted_zeros(shape, rng):
+    """Random complex entries, about a quarter of the real and of the imaginary
+    parts replaced by -0.0 and as many by +0.0."""
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (a.real, a.imag):
+        u = rng.random(shape)
+        part[u < 0.25] = -0.0
+        part[(u >= 0.25) & (u < 0.5)] = 0.0
+    return a
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+SIDES = st.integers(1, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIDES, SIDES, SIDES, SIDES, st.integers(0, 2**32 - 1))
+def test_kron_is_np_kron_bit_for_bit(ra, ca, rb, cb, seed):
+    """Matrices, and vectors as one-column matrices (the engine's ket padding)."""
+    rng = np.random.default_rng(seed)
+    a, b = planted_zeros((ra, ca), rng), planted_zeros((rb, cb), rng)
+    assert_same_bits(kron(a, b), np.kron(a, b))
+    assert_same_bits(kron(a[:, :1], b[:, :1]).reshape(-1), np.kron(a[:, 0], b[:, 0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIDES, SIDES, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_kraus_to_superop_is_the_np_kron_sum_bit_for_bit(dim_out, dim_in, count, seed):
+    rng = np.random.default_rng(seed)
+    ops = [planted_zeros((dim_out, dim_in), rng) for _ in range(count)]
+    reference = np.zeros((dim_out**2, dim_in**2), dtype=np.complex128)
+    for k in ops:
+        reference += np.kron(k, k.conj())
+    assert_same_bits(kraus_to_superop(ops), reference)
 
 
 def test_kraus_to_superop_identity():
@@ -242,6 +287,14 @@ def test_choi_fidelity_rejects_invalid_channel():
     bad = Channel(dim_in=2, dim_out=2, choi=np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
     with pytest.raises(ChannelError):
         choi_fidelity(bad, Channel.identity(2))
+
+
+def test_choi_fidelity_refuses_a_non_hermitian_choi_state():
+    choi = np.eye(4) / 4
+    choi[0, 3] = 0.1  # no Hermitian partner at [3, 0]
+    bad = Channel(dim_in=2, dim_out=2, choi=choi.astype(complex))
+    with pytest.raises(ChannelError, match="not Hermitian"):
+        choi_fidelity(Channel.identity(2), bad)
 
 
 def test_unitary_conjugation_choi_is_pure():

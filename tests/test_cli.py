@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,3 +286,15 @@ def test_netsim_state_report_output_is_json_dumps_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["states"]["b"]["re"]
     _assert_dumps_text(out)
+
+
+@pytest.mark.parametrize("value", ["basic_format", "bogus"])
+def test_log_level_that_is_no_level_name_is_one_error_line_and_exit_2(monkeypatch, capsys,
+                                                                      value):
+    """``basic_format`` is a logging attribute but no level; ``bogus`` is neither."""
+    monkeypatch.setenv("CHANNEL_FORGE_LOG", value)
+    assert run_cli(["channel", "build", "--name", "bit_flip", "--p", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: CHANNEL_FORGE_LOG={value!r} is not a logging level name "
+                            "(DEBUG, INFO, WARNING, ERROR or CRITICAL)\n")

@@ -18,7 +18,7 @@ from channel_forge.channels import (ChannelError, kraus_to_superop, random_chann
                                     random_density_matrix)
 from channel_forge.circuits import build_ad_circuit, circuit_to_dict
 from channel_forge.cli import main
-from channel_forge.engine import StateEngine
+from channel_forge.engine import StateEngine, _contract
 from channel_forge.noise import amplitude_damping, erasure
 
 ATOL = 1e-12
@@ -75,6 +75,59 @@ def fresh_engine(dims, rng):
 def assert_close(a, b):
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) < ATOL
+
+
+def contract_reference(t, m, axes, out_dims):
+    """The engine kernel as it was first written: one tensordot, one moveaxis."""
+    k = len(axes)
+    in_dims = [t.shape[a] for a in axes]
+    m = m.reshape(list(out_dims) + in_dims)
+    t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, list(range(k)), list(axes))
+
+
+def planted_zeros(shape, rng):
+    """Random complex entries, about a quarter of the real and of the imaginary
+    parts replaced by -0.0 and as many by +0.0."""
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (a.real, a.imag):
+        u = rng.random(shape)
+        part[u < 0.25] = -0.0
+        part[(u >= 0.25) & (u < 0.5)] = 0.0
+    return a
+
+
+def assert_same_bits(a, b):
+    """Equal values, equal signs of zero, and the same memory layout."""
+    assert a.shape == b.shape and a.strides == b.strides
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.booleans(), st.booleans(),
+       st.data())
+def test_contract_is_tensordot_and_moveaxis_bit_for_bit(dims, superop, strided, data):
+    """On a density-matrix tensor, as the engine calls it: a superoperator into
+    the row and column axes at once, or one operator into the rows, optionally
+    on a transposed view, as the second half of ``K rho K^dagger`` gets it."""
+    n = len(dims)
+    k = data.draw(st.integers(1, min(3, n)))
+    axes = data.draw(st.permutations(range(n)))[:k]
+    out_dims = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = dims + dims
+    if strided:
+        order = data.draw(st.permutations(range(2 * n)))
+        t = planted_zeros([shape[i] for i in order], rng).transpose(np.argsort(order))
+    else:
+        t = planted_zeros(shape, rng)
+    if superop:
+        axes, out_dims = axes + [n + a for a in axes], out_dims * 2
+    d_in = int(np.prod([shape[a] for a in axes]))
+    m = planted_zeros((int(np.prod(out_dims)), d_in), rng)
+    assert_same_bits(_contract(t, m, axes, out_dims), contract_reference(t, m, axes, out_dims))
 
 
 @SETTINGS

@@ -99,6 +99,20 @@ def test_uhlmann_fidelity_rejects_genuinely_negative():
         uhlmann_fidelity(np.diag([1.1, -0.1]), np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("b", [
+    [[0.5, 0.1], [0.0, 0.5]],  # the Hermitian part is PSD; b itself is not Hermitian
+    np.eye(2) / 2 + 2e-10j * np.array([[0, 1], [1, 0]]),  # just past the 1e-10 tolerance
+])
+def test_uhlmann_fidelity_refuses_a_non_hermitian_second_state(b):
+    with pytest.raises(ValueError, match="second state is not Hermitian"):
+        uhlmann_fidelity(np.eye(2) / 2, b)
+
+
+def test_uhlmann_fidelity_takes_a_second_state_hermitian_within_tolerance():
+    b = np.eye(2) / 2 + 5e-11j * np.array([[0, 1], [1, 0]])
+    assert abs(uhlmann_fidelity(np.eye(2) / 2, b) - 1.0) < 1e-12
+
+
 def random_state(dim, rank, rng):
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ dagger(g)
