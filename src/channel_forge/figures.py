@@ -33,9 +33,7 @@ from .tailor import (
     _softmax,
     building_block_optimize,
     full_circuit_tailor,
-    optimize_block_pair_mixture,
     pauli_mixture_channel,
-    standard_block_dictionary,
     theta_tailor,
 )
 
@@ -87,17 +85,13 @@ def fig7c_rows(grid: int = 20, xatol: float = 1e-8) -> list[dict]:
 
 def _interleaved_fidelity(target: Channel, input_impl: Channel, noise: Channel | None,
                           seed: int, opt: OptimizerConfig) -> float:
-    """Method 1 with interleaved blocks, decorated by ``noise`` (noiseless
-    blocks when None): the correlated mixture over the fixed block
-    dictionary, then the free Stinespring search alongside it."""
-    pair = optimize_block_pair_mixture(target, input_impl, standard_block_dictionary(),
-                                       decorator=noise)
+    """Method 1 with two interleaved blocks per side of two Kraus operators each,
+    decorated by ``noise`` (noiseless blocks when None)."""
     cfg = BuildingBlockConfig(placement="interleaved", mixture_size=2, ancilla_dim=2,
                               noisy_blocks=noise is not None,
                               optimizer=replace(opt, seed=seed))
     hw = BlockModel(noise) if noise is not None else None
-    return building_block_optimize(target, input_impl, hw, cfg,
-                                   extra_candidates=[pair[:3]]).achieved_fidelity
+    return building_block_optimize(target, input_impl, hw, cfg).achieved_fidelity
 
 
 def fig5a_rows(q_values=None, seed: int = 0,

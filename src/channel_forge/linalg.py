@@ -145,7 +145,7 @@ def _hermitian_part(m, name: str) -> np.ndarray:
     m = as_complex(m)
     m_dag = dagger(m)
     dev = float(np.max(np.abs(m - m_dag)))
-    if dev > 1e-10:
+    if not dev <= 1e-10:  # NaN fails too
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} > 1.0e-10")
     return (m + m_dag) / 2
 
@@ -230,6 +230,22 @@ def uhlmann_fidelity(a: np.ndarray, b: np.ndarray):
     # square is >= 0, so only roundoff above 1 needs clipping.
     f = np.minimum(np.float_power(np.sum(_floored_sqrt_eigs(inner_vals), axis=-1), 2), 1.0)
     return float(f) if f.ndim == 0 else f
+
+
+def uhlmann_gradient(a: np.ndarray, b_sqrt: np.ndarray) -> np.ndarray:
+    """Gradient in ``a`` of the Uhlmann fidelity F(a, b), given ``b_sqrt`` = sqrt(b).
+
+    G = sqrt(F) sqrt(b) (sqrt(b) a sqrt(b))^(-1/2) sqrt(b), the inverse root
+    taken on the support (eigenvalues at the noise floor count as zero), so that
+    F(a + da) = F(a) + tr(G da) to first order while the support holds. ``a`` is
+    one matrix or a stack ``(..., n, n)``; it is not checked.
+    """
+    x = b_sqrt @ a @ b_sqrt
+    vals, vecs = np.linalg.eigh((x + dagger(x)) / 2)
+    roots = _floored_sqrt_eigs(vals)
+    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0)
+    g = b_sqrt @ (vecs * inv[..., None, :]) @ dagger(vecs) @ b_sqrt
+    return g * roots.sum(axis=-1)[..., None, None]
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

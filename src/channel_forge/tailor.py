@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,15 @@ from .channels import (
     mix,
 )
 from .circuits import build_ad_circuit, extract_channel
-from .linalg import read_field, refuse_unknown_keys, reshuffle, uhlmann_fidelity
+from .linalg import (
+    dagger,
+    hermitian_sqrt,
+    read_field,
+    refuse_unknown_keys,
+    reshuffle,
+    uhlmann_fidelity,
+    uhlmann_gradient,
+)
 from .noise import (
     BlockModel,
     NoiseModel,
@@ -40,7 +48,6 @@ from .noise import (
     apply_noise_model,
     channel_from_entry,
     noise_model_from_config,
-    pauli_conjugations,
     pauli_operators,
     pauli_product_table,
 )
@@ -88,7 +95,8 @@ def _check_isometries(kraus: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class CPTPParameterization:
-    """Channels encoded by a Stinespring unitary on system (x) ancilla.
+    """Channels encoded by a Stinespring unitary on system (x) ancilla; Method 1
+    draws its random stage-two starts through :meth:`decode`.
 
     The unitary is exp(iH) for a Hermitian generator H parameterized by
     ``n_params`` reals: the diagonal first, then (re, im) pairs of the upper
@@ -134,7 +142,8 @@ _START_SCALE = 0.5
 
 @dataclass
 class OptimizerConfig:
-    """Budget and seed of the multi-start Nelder-Mead searches."""
+    """Budget and seed of the multi-start searches: Nelder-Mead restarts, or
+    Method 1's random seesaw starts and the evaluation cap of each."""
 
     restarts: int = 8
     max_evals_per_restart: int = 2000
@@ -228,16 +237,19 @@ def _kraus_superops(kraus: np.ndarray, decorator: Channel | None) -> np.ndarray:
 
 def _pair_products(input_superop: np.ndarray, post_superops: np.ndarray,
                    pre_superops: np.ndarray) -> np.ndarray:
-    """Superoperators post_i . input . pre_j as ``(n_post + 1, n_pre + 1, D, D)``,
-    where index 0 on either side is skip."""
-    lefts = np.concatenate([input_superop[None], post_superops @ input_superop])
-    return np.concatenate([lefts[:, None], lefts[:, None] @ pre_superops], axis=1)
+    """Superoperators post_i . input . pre_j as ``(..., n_post + 1, n_pre + 1, D, D)``,
+    where index 0 on either side is skip; block stacks ``(..., n, D, D)`` may carry
+    leading axes ``...`` (one per start of a stacked search)."""
+    lead = post_superops.shape[:-3]
+    skip = np.broadcast_to(input_superop, lead + (1,) + input_superop.shape)
+    lefts = np.concatenate([skip, post_superops @ input_superop], axis=-3)[..., None, :, :]
+    return np.concatenate([lefts, lefts @ pre_superops[..., None, :, :, :]], axis=-3)
 
 
 def _weighted_sum(tables: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_ij tables[..., i, j] * terms[i, j] without the product array; einsum adds
-    the terms from zero in row-major (i, j) order, as a loop of ``+=`` would."""
-    return np.einsum("...ij,ijpq->...pq", tables, terms)
+    """sum_ij tables[..., i, j] * terms[..., i, j] without the product array; einsum
+    adds the terms from zero in row-major (i, j) order, as a loop of ``+=`` would."""
+    return np.einsum("...ij,...ijpq->...pq", tables, terms)
 
 
 def _fidelities(chois: np.ndarray, target_choi: np.ndarray):
@@ -251,15 +263,22 @@ def _fidelities(chois: np.ndarray, target_choi: np.ndarray):
         return np.array([_fidelities(c, target_choi) for c in chois])
 
 
-def _mixture_fidelity(input_superop: np.ndarray, post_superops: np.ndarray,
-                      pre_superops: np.ndarray, probs: np.ndarray,
-                      target_choi: np.ndarray) -> float:
-    """F(sum_ij p_ij post_i . input . pre_j, target) with index 0 = skip, from
-    stacks of the decorated block superoperators; 0.0 where the fidelity is
-    undefined."""
+def _mixture_chois(input_superop: np.ndarray, post_superops: np.ndarray,
+                   pre_superops: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Choi state of sum_ij p_ij post_i . input . pre_j (index 0 = skip) from stacks
+    of the decorated block superoperators; leading axes are starts, as in
+    :func:`_pair_products`."""
     d = math.isqrt(input_superop.shape[0])
-    s = _weighted_sum(probs, _pair_products(input_superop, post_superops, pre_superops))
-    return _fidelities(reshuffle(s, d, d) / d, target_choi)
+    return reshuffle(_weighted_sum(probs, _pair_products(input_superop, post_superops,
+                                                         pre_superops)), d, d) / d
+
+
+def _mixture_fidelity(input_superop: np.ndarray, post_superops: np.ndarray,
+                      pre_superops: np.ndarray, probs: np.ndarray, target_choi: np.ndarray):
+    """F of the mixture of :func:`_mixture_chois` to the target, per start of a
+    stack; 0.0 where the fidelity is undefined."""
+    return _fidelities(_mixture_chois(input_superop, post_superops, pre_superops, probs),
+                       target_choi)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -268,81 +287,328 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def standard_block_dictionary(dim: int) -> list[Channel]:
+    """Stage-one blocks for n-qubit hardware, ``dim = 2**n``: the Pauli conjugations,
+    then the inverse 90-degree rotations (1 - iP)/sqrt(2) about each non-identity
+    Pauli P, in :func:`pauli_operators` order (for one qubit: id, X, Y, Z, then the
+    rotations about X, Y, Z). Empty for any other dimension."""
+    n = dim.bit_length() - 1
+    if dim < 2 or dim != 2**n:
+        return []
+    paulis = pauli_operators(n)
+    rotations = [(np.eye(dim) - 1j * sigma) / np.sqrt(2) for sigma in paulis[1:]]
+    return [Channel.from_unitary(u) for u in paulis + rotations]
+
+
+def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
+                                blocks: Sequence[Channel],
+                                decorator: Channel | None = None,
+                                placement: str = "interleaved") -> TailoringRecipe:
+    """Stage one of Method 1: the best correlated mixture over a fixed dictionary.
+
+    Maximizes F(sum_ij p_ij post_i . input . pre_j, target) over the joint
+    distribution only, with index 0 meaning skip and every block of ``blocks``
+    (decorated by ``decorator`` when given) offered on each side that
+    ``placement`` uses; the (0, 0) corner is the direct implementation. All
+    pair-product Choi states are precomputed. Fidelity is concave in the
+    distribution, so Frank-Wolfe over the simplex (at most 120 steps) from the
+    best vertex converges to the global optimum. The recipe keeps the blocks
+    that carry weight, with ``converged`` False when the step cap stopped the
+    search and ``evaluations`` counting fidelities, each stacked member once.
+    """
+    d = target.dim_in
+    blocks = list(blocks)
+    sups = _block_superops(blocks, decorator, d)
+    pair_chois = reshuffle(_pair_products(input_impl.superop(),
+                                          sups if placement != "pre" else sups[:0],
+                                          sups if placement != "post" else sups[:0]),
+                           d, d) / d
+    target_choi = target.choi
+    evaluations = 0
+
+    def fidelities(tables: np.ndarray):
+        """Fidelity of the mixture of each probability table in ``tables`` (or of one)."""
+        nonlocal evaluations
+        evaluations += len(tables) if tables.ndim == 3 else 1
+        return _fidelities(_weighted_sum(tables, pair_chois), target_choi)
+
+    # start from the best vertex (includes the direct corner at (0, 0))
+    shape = pair_chois.shape[:2]
+    vertices = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
+    vertex_f = fidelities(vertices)
+    k = int(np.argmax(vertex_f))
+    probs, f = vertices[k], vertex_f[k]
+    eps = 1e-6
+    converged = False
+    for _ in range(120):
+        # directional derivatives toward every vertex
+        gains = fidelities(probs + eps * (vertices - probs)) - f
+        k = int(np.argmax(gains))
+        if gains[k] <= 1e-14:
+            converged = True
+            break
+        direction = vertices[k] - probs
+        res = minimize_scalar(lambda t: -fidelities(probs + t * direction),
+                              bounds=(0.0, 1.0), method="bounded",
+                              options={"xatol": 1e-10})
+        t_best, f_best = float(res.x), -float(res.fun)
+        if f_best <= f + 1e-14:
+            converged = True
+            break
+        probs = probs + t_best * direction
+        f = f_best
+    # a row or column never stepped towards is exactly zero
+    posts, pres = np.flatnonzero(probs[1:].any(axis=1)), np.flatnonzero(probs[:, 1:].any(axis=0))
+    return TailoringRecipe(
+        method="building-block", achieved_fidelity=float(f),
+        post_channels=[blocks[i] for i in posts], pre_channels=[blocks[j] for j in pres],
+        mixture=probs[np.ix_([0, *posts + 1], [0, *pres + 1])], converged=converged,
+        evaluations=evaluations, details={"placement": placement},
+    )
+
+
+# Stage two: sufficient-increase fraction of the first-order gain (Armijo), the
+# gain below which a sweep stops its start, and the step at which backtracking gives up
+_ARMIJO = 1e-4
+_GAIN_TOL = 1e-12
+_MIN_STEP = 1e-10
+
+
+def _retract(v: np.ndarray) -> np.ndarray:
+    """QR retraction onto the Stiefel manifold: the Q factor of each matrix of
+    the stack, with the phases that make R's diagonal real and positive."""
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _kraus_isometry(ch: Channel, n_kraus: int) -> np.ndarray:
+    """The Kraus operators of ``ch`` stacked into an ``(n_kraus * d_out, d_in)``
+    isometry, padded with zero operators."""
+    ops = ch.kraus()
+    v = np.zeros((n_kraus, ch.dim_out, ch.dim_in), dtype=np.complex128)
+    v[: len(ops)] = ops
+    return v.reshape(-1, ch.dim_in)
+
+
+def _stack_superops(kraus: np.ndarray, decorator: Channel | None) -> np.ndarray:
+    """Decorated superoperators ``(starts, blocks, D, D)`` of a stack of Kraus
+    isometries ``(starts, blocks, r * d, d)``."""
+    n_starts, n_blocks, rd, d = kraus.shape
+    sups = _kraus_superops(kraus.reshape(-1, rd // d, d, d), decorator)
+    return sups.reshape(n_starts, n_blocks, d * d, d * d)
+
+
+def _block_gradient(input_superop: np.ndarray, decorator: Channel | None, n_post: int,
+                    sups: np.ndarray, probs: np.ndarray, grad: np.ndarray,
+                    k: int, v: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of F in the isometry ``v`` ``(starts, r * d, d)`` of block k.
+
+    ``grad`` is dF/drho of each start's mixture Choi state, ``sups`` and
+    ``probs`` the starts' decorated block superoperators and tables. F depends
+    on the block's Choi state J through rho = R(outer R(J) inner) + const, R the
+    reshuffle; J = sum_a |K_a>><<K_a| / d, so dF = (2/d) Re <M K_a, dK_a> for each
+    Kraus operator, with M = R(outer^dag R(grad) inner^dag).
+    """
+    n_starts, rd, d = v.shape
+    dd = d * d
+    eye = np.eye(dd)
+    skip = np.broadcast_to(eye, (n_starts, 1, dd, dd))
+    deco = decorator.superop() if decorator is not None else eye
+    if k < n_post:
+        rights = np.concatenate([skip, sups[:, n_post:]], axis=1)
+        outer, inner = deco, input_superop @ np.einsum("sj,sjpq->spq", probs[:, k + 1], rights)
+    else:
+        lefts = np.concatenate([skip, sups[:, :n_post]], axis=1)
+        outer = np.einsum("si,sipq->spq", probs[:, :, k - n_post + 1], lefts) @ input_superop @ deco
+        inner = eye
+    m = reshuffle(dagger(outer) @ reshuffle(grad, d, d) @ dagger(inner), d, d)
+    m = (m + dagger(m)) / 2
+    return (2 / d) * (v.reshape(n_starts, -1, dd) @ m.swapaxes(-1, -2)).reshape(v.shape)
+
+
+def _seesaw(input_impl: Channel, target: Channel, decorator: Channel | None, n_post: int,
+            kraus: np.ndarray, probs: np.ndarray, max_evals: int):
+    """Stage two of Method 1: block-wise ascent from a stack of starts.
+
+    ``kraus`` is ``(starts, blocks, r * d, d)``: each block's r Kraus operators
+    stacked into an isometry, the first ``n_post`` blocks after the input and
+    the rest before it; ``probs`` is ``(starts, n_post + 1, n_pre + 1)``. A sweep
+    takes, for one block at a time, the analytic Uhlmann-gradient step on the
+    Stiefel manifold of isometries, retracted by QR and accepted on an Armijo
+    increase (the step halves until it is), then takes one pairwise
+    Frank-Wolfe step on the mixture with the blocks fixed, by the analytic
+    gradient of F in the table. All starts move in the same stacked kernel
+    calls, and every step size is remembered per start and doubled after it
+    is accepted. A start stops when a sweep gains less than
+    ``_GAIN_TOL`` (it converged) or when it has spent ``max_evals`` fidelity
+    evaluations (value or gradient, checked after each sweep).
+    Returns (kraus, probs, fidelities, evaluations, converged), per start.
+    """
+    n_starts, n_blocks, _, d = kraus.shape
+    input_sup, target_choi = input_impl.superop(), target.choi
+    root = hermitian_sqrt(target_choi)
+    kraus, probs = kraus.copy(), probs.astype(float)
+    evals = np.zeros(n_starts, dtype=int)
+
+    def score(idx, kr, pr):
+        evals[idx] += 1
+        sups = _stack_superops(kr, decorator)
+        return _mixture_fidelity(input_sup, sups[:, :n_post], sups[:, n_post:], pr, target_choi)
+
+    def gradient(idx, kr, pr):
+        """dF/drho of the mixtures' Choi states, and the decorated block superoperators."""
+        evals[idx] += 1
+        sups = _stack_superops(kr, decorator)
+        rho = _mixture_chois(input_sup, sups[:, :n_post], sups[:, n_post:], pr)
+        return uhlmann_gradient(rho, root), sups
+
+    def line_search(idx, kr, pr, f, slope, step, trial):
+        """Armijo backtracking from ``step`` along ``trial(sel, t) -> (kr, pr)`` for
+        each start with ``slope > 0``; accepted points are written into kr, pr and
+        f. Returns the accepted steps, 0 where none was."""
+        todo, t = np.flatnonzero(slope > 0), step.copy()
+        accepted = np.zeros(len(f))
+        while todo.size:
+            cand_kr, cand_pr = trial(todo, t[todo])
+            f_new = score(idx[todo], cand_kr, cand_pr)
+            ok = f_new >= f[todo] + _ARMIJO * t[todo] * slope[todo]
+            done = todo[ok]
+            kr[done], pr[done], f[done] = cand_kr[ok], cand_pr[ok], f_new[ok]
+            accepted[done] = t[done]
+            todo = todo[~ok]
+            t[todo] /= 2
+            todo = todo[t[todo] >= _MIN_STEP]
+        return accepted
+
+    def block_step(idx, kr, pr, f, steps, k):
+        grad, sups = gradient(idx, kr, pr)
+        v = kr[:, k].copy()
+        euclid = _block_gradient(input_sup, decorator, n_post, sups, pr, grad, k, v)
+        vg = dagger(v) @ euclid
+        xi = euclid - v @ (vg + dagger(vg)) / 2  # projection onto the tangent space
+
+        def trial(sel, t):
+            cand = kr[sel]
+            cand[:, k] = _retract(v[sel] + t[:, None, None] * xi[sel])
+            return cand, pr[sel]
+
+        slope = np.sum(np.abs(xi) ** 2, axis=(-2, -1))
+        t = line_search(idx, kr, pr, f, slope, steps[:, k], trial)
+        steps[:, k] = np.where(t > 0, 2 * t, steps[:, k])
+
+    def mixture_step(idx, kr, pr, f, steps):
+        grad, sups = gradient(idx, kr, pr)
+        pairs = reshuffle(_pair_products(input_sup, sups[:, :n_post], sups[:, n_post:]), d, d) / d
+        rates = np.einsum("sxy,sabyx->sab", grad, pairs).real.reshape(len(kr), -1)
+        flat = pr.reshape(len(kr), -1)
+        rows = np.arange(len(kr))
+        toward = np.argmax(rates, axis=1)
+        away = np.argmin(np.where(flat > 0, rates, np.inf), axis=1)
+
+        def trial(sel, t):
+            cand = flat[sel]
+            cand[np.arange(len(sel)), toward[sel]] += t
+            cand[np.arange(len(sel)), away[sel]] -= t
+            return kr[sel], cand.reshape(-1, *pr.shape[1:])
+
+        # pairwise: move mass from the worst used pair to the best pair, at most all of it
+        t = line_search(idx, kr, pr, f, rates[rows, toward] - rates[rows, away],
+                        np.minimum(steps[:, -1], flat[rows, away]), trial)
+        steps[:, -1] = np.where(t > 0, 2 * t, steps[:, -1])
+
+    f = score(np.arange(n_starts), kraus, probs)
+    steps = np.ones((n_starts, n_blocks + 1))  # the last column is the mixture's
+    active, converged = np.ones(n_starts, dtype=bool), np.zeros(n_starts, dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        kr, pr, fs, st = kraus[idx], probs[idx], f[idx], steps[idx]
+        for k in range(n_blocks):
+            block_step(idx, kr, pr, fs, st, k)
+        mixture_step(idx, kr, pr, fs, st)
+        converged[idx] = fs - f[idx] < _GAIN_TOL
+        kraus[idx], probs[idx], f[idx], steps[idx] = kr, pr, fs, st
+        active[idx] = ~converged[idx] & (evals[idx] < max_evals)
+    return kraus, probs, f, evals, converged
+
+
 def building_block_optimize(target: Channel, input_impl: Channel,
                             hw: NoiseModel | None = None,
-                            config: BuildingBlockConfig | None = None,
-                            extra_candidates: Sequence[tuple] = ()) -> TailoringRecipe:
+                            config: BuildingBlockConfig | None = None) -> TailoringRecipe:
     """Method 1: wrap a fixed noisy channel in optimized correction blocks.
 
     Maximizes F(sum_ij p_ij post'_i . input . pre'_j, target) over CPTP
-    corrections (decoded from Stinespring parameterizations) and the joint
-    mixture, where primes mean the block is itself decorated by ``hw``
-    noise. Index 0 on each side is "skip" (no block, hence no decoration),
-    so the plain input channel is always feasible and the result can only
-    improve on it.
+    corrections and the joint mixture, where primes mean the block is itself
+    decorated by ``hw`` noise. Index 0 on each side is "skip" (no block, hence
+    no decoration), so the plain input channel, the direct corner, is always
+    feasible and the result can only improve on it. Two stages:
 
-    ``extra_candidates`` are (post_blocks, pre_blocks, probs) triples
-    evaluated after the search, like the direct implementation; a candidate
-    replaces the search result only when strictly better, and is marked by
-    ``details["candidate"]``.
+    1. :func:`optimize_block_pair_mixture` over :func:`standard_block_dictionary`,
+       whose vertices include the direct corner;
+    2. :func:`_seesaw` over ``mixture_size`` free blocks per side of
+       ``ancilla_dim`` Kraus operators each, from the stage-one mixture cut to
+       the blocks with the most weight (padded with identities) and from
+       ``restarts`` random starts (:class:`CPTPParameterization` draws, each
+       mixed uniformly), ``max_evals_per_restart`` evaluations per start.
+
+    A later candidate replaces an earlier one only when strictly better;
+    ``details["candidate"]`` is ``"direct"`` or ``"dictionary"`` when one of
+    those is returned. ``details`` counts the fidelity evaluations of each
+    stage (``dictionary_evaluations`` + ``search_evaluations`` =
+    ``evaluations``) and records whether Frank-Wolfe stopped on its step cap
+    (``dictionary_capped``); ``converged`` means the gain test stopped every
+    start of the seesaw.
     """
     config = config or BuildingBlockConfig()
     if target.dim_in != target.dim_out or input_impl.dim_in != input_impl.dim_out:
         raise ChannelError("building-block tailoring expects square channels")
     if input_impl.dim_in != target.dim_in:
         raise ChannelError("input and target dimensions differ")
-    d = target.dim_in
-    m = config.mixture_size
-    d_a = config.ancilla_dim or d * d
-    param = CPTPParameterization(dim=d, ancilla_dim=d_a)
-    g = param.n_params
-    decorator = _block_decorator(hw, d) if config.noisy_blocks else None
-
-    use_post = config.placement in ("post", "interleaved")
-    use_pre = config.placement in ("pre", "interleaved")
     if config.placement not in ("pre", "post", "interleaved"):
         raise ChannelError(f"unknown placement {config.placement!r}")
-    n_post = m if use_post else 0
-    n_pre = m if use_pre else 0
-    n_logits = (n_post + 1) * (n_pre + 1)
-    n_params = (n_post + n_pre) * g + n_logits
+    d = target.dim_in
+    n_post = config.mixture_size if config.placement != "pre" else 0
+    n_pre = config.mixture_size if config.placement != "post" else 0
+    n_kraus = config.ancilla_dim or d * d
+    decorator = _block_decorator(hw, d) if config.noisy_blocks else None
+    opt = config.optimizer
 
-    input_sup = input_impl.superop()
-    target_choi = target.choi
+    stage_one = optimize_block_pair_mixture(target, input_impl, standard_block_dictionary(d),
+                                            decorator, config.placement)
+    # the stage-one mixture cut to the blocks with the most weight on each side
+    table = stage_one.mixture
+    posts = np.argsort(-table[1:].sum(axis=1), kind="stable")[:n_post]
+    pres = np.argsort(-table[:, 1:].sum(axis=0), kind="stable")[:n_pre]
+    cut = np.zeros((n_post + 1, n_pre + 1))
+    cut[: len(posts) + 1, : len(pres) + 1] = table[np.ix_([0, *posts + 1], [0, *pres + 1])]
+    if not cut.any():  # all the weight sat on pairs the cut drops
+        cut[0, 0] = 1.0
+    identity = Channel.identity(d)
+    first = ([stage_one.post_channels[i] for i in posts] + [identity] * (n_post - len(posts))
+             + [stage_one.pre_channels[j] for j in pres] + [identity] * (n_pre - len(pres)))
+    param = CPTPParameterization(dim=d, ancilla_dim=n_kraus)
+    rng = np.random.default_rng(opt.seed)
+    draws = _START_SCALE * rng.standard_normal((opt.restarts, n_post + n_pre, param.n_params))
+    starts = [first] + [[param.decode(x) for x in start] for start in draws]
+    kraus = np.array([[_kraus_isometry(b, n_kraus) for b in blocks] for blocks in starts])
+    probs = np.array([cut / cut.sum()] + [np.full(cut.shape, 1 / cut.size)] * opt.restarts)
+    kraus, probs, f, evals, converged = _seesaw(input_impl, target, decorator, n_post, kraus,
+                                                probs, opt.max_evals_per_restart)
 
-    def probs_of(x: np.ndarray) -> np.ndarray:
-        return _softmax(x[(n_post + n_pre) * g :]).reshape(n_post + 1, n_pre + 1)
-
-    def objective(x: np.ndarray) -> float:
-        sups = _kraus_superops(param.kraus_stack(x[: (n_post + n_pre) * g]), decorator)
-        return _mixture_fidelity(input_sup, sups[:n_post], sups[n_post:], probs_of(x),
-                                 target_choi)
-
-    # seed at the direct corner (skip everything)
-    direct_seed = np.zeros(n_params)
-    direct_seed[(n_post + n_pre) * g] = 30.0
-    best_x, best_f, evals, converged = _maximize(objective, n_params,
-                                                 config.optimizer, seeds=[direct_seed])
-    blocks = [param.decode(best_x[k * g : (k + 1) * g]) for k in range(n_post + n_pre)]
-    posts, pres, probs = blocks[:n_post], blocks[n_post:], probs_of(best_x)
-    details = {"placement": config.placement, "noisy_blocks": config.noisy_blocks}
-    best = TailoringRecipe(
-        method="building-block", achieved_fidelity=best_f,
-        post_channels=posts, pre_channels=pres, mixture=probs,
-        converged=converged, evaluations=evals, details=details,
-    )
-    for cand_posts, cand_pres, cand_probs in [([], [], np.ones((1, 1))), *extra_candidates]:
-        cand_probs = np.asarray(cand_probs, dtype=float)
-        f = _mixture_fidelity(input_sup, _block_superops(cand_posts, decorator, d),
-                              _block_superops(cand_pres, decorator, d), cand_probs, target_choi)
-        if f > best.achieved_fidelity:
-            best = TailoringRecipe(
-                method="building-block", achieved_fidelity=f,
-                post_channels=list(cand_posts), pre_channels=list(cand_pres),
-                mixture=cand_probs, converged=True, evaluations=evals,
-                details={**details, "candidate": True},
-            )
-    return best
+    details = {"placement": config.placement, "noisy_blocks": config.noisy_blocks,
+               "dictionary_evaluations": stage_one.evaluations,
+               "search_evaluations": int(evals.sum()),
+               "dictionary_capped": not stage_one.converged}
+    recipe = replace(stage_one, converged=bool(converged.all()),
+                     evaluations=stage_one.evaluations + int(evals.sum()), details=details)
+    best = int(np.argmax(f))
+    if f[best] > recipe.achieved_fidelity:
+        blocks = [Channel.from_kraus(b.reshape(n_kraus, d, d)) for b in kraus[best]]
+        return replace(recipe, achieved_fidelity=float(f[best]), post_channels=blocks[:n_post],
+                       pre_channels=blocks[n_post:], mixture=probs[best])
+    used = stage_one.post_channels or stage_one.pre_channels
+    details["candidate"] = "dictionary" if used else "direct"
+    return recipe
 
 
 # -- Method 2: analytic/parametric tailoring -------------------------------------
@@ -585,61 +851,6 @@ def blackbox_optimize(oracle: Callable[[np.ndarray], float], dim: int,
         evaluations=evals,
         details={"budget": budget, "budget_exhausted": budget_hit},
     )
-
-
-def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
-                                blocks: Sequence[Channel],
-                                decorator: Channel | None = None):
-    """Best correlated (post, pre) mixture over a fixed block dictionary.
-
-    Maximizes F(sum_ij p_ij post_i . input . pre_j, target) over the joint
-    distribution only, with index 0 meaning skip; the blocks (optionally
-    decorated by hardware noise) are held fixed, so all pair-product Choi
-    states can be precomputed. Fidelity is concave in the distribution, so
-    Frank-Wolfe over the simplex (at most 120 steps) converges to the
-    global optimum. Returns (posts, pres, probs, fidelity) ready to use as
-    a building-block candidate.
-    """
-    d = target.dim_in
-    blocks = list(blocks)
-    sups = _block_superops(blocks, decorator, d)
-    pair_chois = reshuffle(_pair_products(input_impl.superop(), sups, sups), d, d) / d
-    target_choi = target.choi
-
-    def fidelities(tables: np.ndarray):
-        """Fidelity of the mixture of each (n, n) probability table in ``tables``."""
-        return _fidelities(_weighted_sum(tables, pair_chois), target_choi)
-
-    # start from the best vertex (includes the direct corner at (0, 0))
-    n = len(pair_chois)
-    vertices = np.eye(n * n).reshape(n * n, n, n)
-    vertex_f = fidelities(vertices)
-    k = int(np.argmax(vertex_f))
-    probs, f = vertices[k], vertex_f[k]
-    eps = 1e-6
-    for _ in range(120):
-        # directional derivatives toward every vertex
-        gains = fidelities(probs + eps * (vertices - probs)) - f
-        k = int(np.argmax(gains))
-        if gains[k] <= 1e-14:
-            break
-        direction = vertices[k] - probs
-        res = minimize_scalar(lambda t: -fidelities(probs + t * direction),
-                              bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-10})
-        t_best, f_best = float(res.x), -float(res.fun)
-        if f_best <= f + 1e-14:
-            break
-        probs = probs + t_best * direction
-        f = f_best
-    return blocks, blocks, probs, f
-
-
-def standard_block_dictionary() -> list[Channel]:
-    """Pauli conjugations plus the inverse 90-degree rotations: a compact
-    dictionary covering twirling and rotation-recovery corrections."""
-    rotations = [(np.eye(2) - 1j * sigma) / np.sqrt(2) for sigma in pauli_operators(1)[1:]]
-    return pauli_conjugations() + [Channel.from_unitary(u) for u in rotations]
 
 
 def pauli_mixture_channel(probs: np.ndarray) -> Channel:

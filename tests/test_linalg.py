@@ -7,6 +7,7 @@ from channel_forge.channels import choi_fidelity, compose
 from channel_forge.linalg import (
     complete_orthonormal_columns,
     dagger,
+    hermitian_eigensystem,
     hermitian_sqrt,
     max_entangled_ket,
     partial_trace,
@@ -111,6 +112,18 @@ def test_uhlmann_fidelity_refuses_a_non_hermitian_second_state(b):
 def test_uhlmann_fidelity_takes_a_second_state_hermitian_within_tolerance():
     b = np.eye(2) / 2 + 5e-11j * np.array([[0, 1], [1, 0]])
     assert abs(uhlmann_fidelity(np.eye(2) / 2, b) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_uhlmann_fidelity_refuses_nan_in_either_state(position, entry):
+    bad = np.eye(2, dtype=complex) / 2
+    bad[entry] = np.nan
+    good = np.eye(2) / 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        uhlmann_fidelity(*((bad, good) if position == "first" else (good, bad)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigensystem(bad)
 
 
 def random_state(dim, rank, rng):

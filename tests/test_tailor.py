@@ -1,15 +1,22 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_forge.channels import (
     Channel,
     ChannelError,
+    channel_to_dict,
     choi_fidelity,
     compose,
+    random_channel,
     validate_cptp,
 )
 from channel_forge.circuits import build_ad_circuit
-from channel_forge.linalg import reshuffle
+from channel_forge.cli import main
+from channel_forge.linalg import hermitian_sqrt, reshuffle, uhlmann_gradient
 from channel_forge.noise import (
     BlockModel,
     PauliDiagonalSpec,
@@ -17,7 +24,9 @@ from channel_forge.noise import (
     bit_flip,
     dephasing,
     depolarizing_white,
+    pauli_conjugations,
     pauli_diagonal,
+    pauli_operators,
     rotation_noise_b,
 )
 from channel_forge import tailor
@@ -121,11 +130,14 @@ def test_a_state_failing_the_check_scores_zero_on_its_own():
     target = bit_flip(0.9).choi
     good = [depolarizing_white(q).choi for q in (0.5, 0.9)]
     not_psd = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
-    stack = np.array([good[0], not_psd, good[1]])
+    not_a_number = good[1].copy()
+    not_a_number[0, 3] = np.nan  # a failed trial point of a search
+    stack = np.array([good[0], not_psd, good[1], not_a_number])
     scores = tailor._fidelities(stack, target)
     assert scores.tolist() == [choi_fidelity(depolarizing_white(0.5), bit_flip(0.9)), 0.0,
-                               choi_fidelity(depolarizing_white(0.9), bit_flip(0.9))]
+                               choi_fidelity(depolarizing_white(0.9), bit_flip(0.9)), 0.0]
     assert tailor._fidelities(not_psd, target) == 0.0
+    assert tailor._fidelities(not_a_number, target) == 0.0
     # a mixture whose Choi state is not PSD scores 0.0 instead of raising
     not_cp = reshuffle(not_psd * 2, 2, 2)
     probs = np.array([[0.0, 1.0]])
@@ -286,20 +298,40 @@ def test_search_methods_report_counted_evaluations(monkeypatch):
                               optimizer=OptimizerConfig(restarts=2, max_evals_per_restart=30))
     assert rec.evaluations == len(calls) > 30
 
-    # one fidelity per objective call, plus one for the direct candidate
-    calls.clear()
-    counted = tailor._mixture_fidelity
+    # every fidelity of both stages, value or gradient, each stacked member once
+    counted = [0]
+    members = {}
 
-    def mixture_fidelity(*args):
-        calls.append(args)
-        return counted(*args)
+    def counting(name):
+        original = getattr(tailor, name)
 
-    monkeypatch.setattr(tailor, "_mixture_fidelity", mixture_fidelity)
-    cfg = BuildingBlockConfig(placement="post", mixture_size=1, ancilla_dim=2,
+        def scorer(states, *args):
+            counted[0] += len(states) if states.ndim == 3 else 1
+            return original(states, *args)
+        return scorer
+
+    for name in ("_fidelities", "uhlmann_gradient"):
+        monkeypatch.setattr(tailor, name, counting(name))
+    stage_one = tailor.optimize_block_pair_mixture
+
+    def first_stage(*args):
+        members["dictionary"] = -counted[0]
+        rec = stage_one(*args)
+        members["dictionary"] += counted[0]
+        return rec
+
+    monkeypatch.setattr(tailor, "optimize_block_pair_mixture", first_stage)
+    cfg = BuildingBlockConfig(placement="interleaved", mixture_size=1, ancilla_dim=2,
+                              noisy_blocks=False,
                               optimizer=OptimizerConfig(restarts=2, max_evals_per_restart=40))
-    rec = building_block_optimize(bit_flip(0.9), compose(dephasing(0.9), bit_flip(0.9)),
-                                  BlockModel(dephasing(0.9)), cfg)
-    assert rec.evaluations == len(calls) - 1 > 40
+    rec = building_block_optimize(bit_flip(0.95), compose(rotation_noise_b(0.8), bit_flip(0.95)),
+                                  None, cfg)
+    assert rec.evaluations == counted[0]
+    assert rec.details["dictionary_evaluations"] == members["dictionary"] > 0
+    # the start from the dictionary mixture stops on its 40-evaluation cap
+    assert rec.details["search_evaluations"] == counted[0] - members["dictionary"] > 40
+    assert not rec.converged
+    assert rec.details["dictionary_capped"] is False
 
 
 # -- full-circuit tailoring --------------------------------------------------------
@@ -381,11 +413,10 @@ def test_optimize_block_pair_mixture_twirl_beats_direct():
     target = bit_flip(0.95)
     noisy_input = compose(noise, target)
     direct = choi_fidelity(noisy_input, target)
-    blocks, _, probs, f = optimize_block_pair_mixture(target, noisy_input,
-                                                      standard_block_dictionary(),
-                                                      decorator=None)
-    assert f > direct + 1e-4
-    assert abs(probs.sum() - 1) < 1e-9
+    rec = optimize_block_pair_mixture(target, noisy_input, standard_block_dictionary(2),
+                                      decorator=None)
+    assert rec.achieved_fidelity > direct + 1e-4
+    assert abs(rec.mixture.sum() - 1) < 1e-9
 
 
 def test_recipe_mixture_is_distribution():
@@ -399,6 +430,130 @@ def test_recipe_mixture_is_distribution():
     assert abs(rec.mixture.sum() - 1) < 1e-9
     for ch in rec.pre_channels + rec.post_channels:
         assert validate_cptp(ch).passed
+
+
+def test_standard_block_dictionary_is_pauli_conjugations_and_rotations():
+    rotations = [Channel.from_unitary((np.eye(2) - 1j * p) / np.sqrt(2))
+                 for p in pauli_operators(1)[1:]]
+    one_qubit = standard_block_dictionary(2)
+    assert [ch.choi.tobytes() for ch in one_qubit] == [
+        ch.choi.tobytes() for ch in pauli_conjugations() + rotations]
+    two_qubit = standard_block_dictionary(4)
+    assert len(two_qubit) == 16 + 15
+    for ch, p in zip(two_qubit, pauli_operators(2)):
+        assert np.array_equal(ch.kraus()[0], p)
+    assert standard_block_dictionary(3) == []
+
+
+@pytest.mark.parametrize("decorated", [False, True])
+@pytest.mark.parametrize("placement", ["pre", "post", "interleaved"])
+def test_block_gradient_matches_central_differences(placement, decorated):
+    rng = np.random.default_rng(5)
+    d, n_kraus, starts = 2, 2, 3
+    n_post = 2 if placement != "pre" else 0
+    n_pre = 2 if placement != "post" else 0
+    decorator = random_channel(d, 2, rng) if decorated else None
+    input_sup = random_channel(d, 3, rng).superop()
+    target = random_channel(d, 4, rng).choi  # full rank, so F is smooth everywhere
+    kraus = np.array([[tailor._kraus_isometry(random_channel(d, n_kraus, rng), n_kraus)
+                       for _ in range(n_post + n_pre)] for _ in range(starts)])
+    probs = rng.dirichlet(np.ones((n_post + 1) * (n_pre + 1)), size=starts)
+    probs = probs.reshape(starts, n_post + 1, n_pre + 1)
+
+    def fidelity(kr):
+        sups = tailor._stack_superops(kr, decorator)
+        return tailor._mixture_fidelity(input_sup, sups[:, :n_post], sups[:, n_post:], probs,
+                                        target)
+
+    sups = tailor._stack_superops(kraus, decorator)
+    rho = tailor._mixture_chois(input_sup, sups[:, :n_post], sups[:, n_post:], probs)
+    grad = uhlmann_gradient(rho, hermitian_sqrt(target))
+    h = 1e-5
+    for k in range(n_post + n_pre):
+        euclid = tailor._block_gradient(input_sup, decorator, n_post, sups, probs, grad, k,
+                                        kraus[:, k])
+        z = rng.standard_normal(euclid.shape) + 1j * rng.standard_normal(euclid.shape)
+        plus, minus = kraus.copy(), kraus.copy()
+        plus[:, k] += h * z
+        minus[:, k] -= h * z
+        numeric = (fidelity(plus) - fidelity(minus)) / (2 * h)
+        analytic = np.sum((euclid.conj() * z).real, axis=(-2, -1))
+        assert np.all(np.abs(numeric - analytic) <= 1e-6 * np.abs(analytic))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), placement=st.sampled_from(["pre", "post", "interleaved"]),
+       noisy=st.booleans())
+def test_building_block_result_bounds_its_stages_and_is_a_valid_recipe(seed, placement, noisy):
+    rng = np.random.default_rng(seed)
+    target = random_channel(2, int(rng.integers(1, 5)), rng)
+    noise = random_channel(2, 2, rng)
+    input_impl = compose(noise, target)
+    cfg = BuildingBlockConfig(placement=placement, mixture_size=1, ancilla_dim=2,
+                              noisy_blocks=noisy,
+                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=40,
+                                                        seed=seed % 1000))
+    rec = building_block_optimize(target, input_impl, BlockModel(noise), cfg)
+    decorator = noise if noisy else None
+    stage_one = optimize_block_pair_mixture(target, input_impl, standard_block_dictionary(2),
+                                            decorator, placement)
+    direct = choi_fidelity(input_impl, target)
+    assert rec.achieved_fidelity >= max(direct, stage_one.achieved_fidelity) - 1e-12
+    for ch in rec.pre_channels + rec.post_channels:
+        assert validate_cptp(ch).passed
+    probs = rec.mixture
+    assert probs.shape == (len(rec.post_channels) + 1, len(rec.pre_channels) + 1)
+    assert probs.min() >= 0.0 and abs(probs.sum() - 1) < 1e-12
+    # the reported fidelity is that of the returned recipe
+    rescored = tailor._mixture_fidelity(
+        input_impl.superop(), tailor._block_superops(rec.post_channels, decorator, 2),
+        tailor._block_superops(rec.pre_channels, decorator, 2), probs, target.choi)
+    assert abs(rescored - rec.achieved_fidelity) < 1e-12
+
+
+def test_building_block_names_the_candidate_it_returns():
+    # blocks after a rotation-noise bit flip only add noise: the direct corner wins
+    noise = rotation_noise_b(0.8)
+    target = bit_flip(0.95)
+    cfg = BuildingBlockConfig(placement="post", mixture_size=2, ancilla_dim=2,
+                              optimizer=OptimizerConfig(restarts=2, max_evals_per_restart=200))
+    rec = building_block_optimize(target, compose(noise, target), BlockModel(noise), cfg)
+    assert rec.details["candidate"] == "direct"
+    assert rec.achieved_fidelity == choi_fidelity(compose(noise, target), target)
+    assert not rec.post_channels and rec.mixture.tolist() == [[1.0]]
+    # noiseless interleaved blocks: the seesaw beats the dictionary mixture
+    cfg = BuildingBlockConfig(placement="interleaved", mixture_size=2, ancilla_dim=2,
+                              noisy_blocks=False,
+                              optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=300))
+    rec = building_block_optimize(target, compose(noise, target), BlockModel(noise), cfg)
+    stage_one = optimize_block_pair_mixture(target, compose(noise, target),
+                                            standard_block_dictionary(2), None)
+    assert "candidate" not in rec.details
+    assert rec.achieved_fidelity > stage_one.achieved_fidelity + 1e-4
+    assert len(rec.post_channels) == len(rec.pre_channels) == 2
+
+
+def test_two_qubit_building_block_job_runs_end_to_end(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    target = random_channel(4, 2, rng)
+    job = {"method": "building-block", "placement": "post", "mixture_size": 1,
+           "ancilla_dim": 2, "target": channel_to_dict(target),
+           "hardware": {"kind": "block", "channels": [{"name": "dephasing", "p": 0.9}]},
+           "budgets": {"restarts": 1, "max_evals": 30}, "seed": 4}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["tailor", "--config", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    details = out["details"]
+    assert out["evaluations"] == details["dictionary_evaluations"] + details["search_evaluations"]
+    assert details["dictionary_evaluations"] > 32  # the 32 vertices: skip and 31 blocks
+    direct = choi_fidelity(compose(tailor._block_decorator(BlockModel(dephasing(0.9)), 4),
+                                   target), target)
+    assert out["achieved_fidelity"] >= direct - 1e-12
+    mixture = np.array(out["mixture"])
+    assert mixture.min() >= 0.0 and abs(mixture.sum() - 1) < 1e-12
+    for entry in out.get("post_channels", []):
+        assert entry["dim_in"] == 4
 
 
 # -- black box ---------------------------------------------------------------------
