@@ -23,6 +23,7 @@ from .noise import (
     dephasing,
     depolarizing,
     depolarizing_white,
+    pauli_operators,
     rotation_noise_b,
 )
 from .tailor import (
@@ -30,9 +31,9 @@ from .tailor import (
     OptimizerConfig,
     ParametricCircuit,
     _maximize,
-    _softmax,
     building_block_optimize,
     full_circuit_tailor,
+    maximize_mixture_fidelity,
     pauli_mixture_channel,
     theta_tailor,
 )
@@ -238,6 +239,12 @@ def fig6c_noise() -> Channel:
     return compose(amplitude_damping(1 - FIG6C_Q), dephasing(FIG6C_Q))
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
 def _unitary_mixture_channel(params: np.ndarray, noise: Channel | None) -> Channel:
     """Mixture of four tunable single-qubit unitaries behind block noise.
 
@@ -270,6 +277,8 @@ def fig6c_rows(strengths=None, seed: int = 0,
         strengths = np.linspace(0.0, 1.0, 11)
     noise = fig6c_noise()
     opt = optimizer or OptimizerConfig(restarts=3, max_evals_per_restart=600, seed=seed)
+    pauli_chois = np.array([compose(noise, Channel.from_unitary(p)).choi
+                            for p in pauli_operators(1)])
     rows = []
     for s in strengths:
         target = depolarizing_white(float(s))
@@ -277,19 +286,13 @@ def fig6c_rows(strengths=None, seed: int = 0,
         direct = compose(noise, pauli_mixture_channel(target_probs))
         direct_f = choi_fidelity(direct, target)
 
-        def pauli_objective(logits: np.ndarray) -> float:
-            return choi_fidelity(compose(noise, pauli_mixture_channel(_softmax(logits))), target)
-
-        seed_logits = np.log(np.clip(target_probs, 1e-9, None))
-        px, pf, _, _ = _maximize(pauli_objective, 4,
-                                 replace(opt, seed=opt.seed + int(s * 997)),
-                                 seeds=[seed_logits])
+        probs, pf, _, _ = maximize_mixture_fidelity(pauli_chois, target.choi)
         pauli_f = max(pf, direct_f)
 
         def full_objective(params: np.ndarray) -> float:
             return choi_fidelity(_unitary_mixture_channel(params, noise), target)
 
-        full_seed = np.concatenate([px, _PAULI_ANGLE_SEEDS.reshape(-1)])
+        full_seed = np.concatenate([np.log(np.clip(probs, 1e-9, None)), _PAULI_ANGLE_SEEDS.ravel()])
         fx, ff, _, _ = _maximize(full_objective, 16,
                                  replace(opt, seed=opt.seed + 31 + int(s * 997)),
                                  seeds=[full_seed])

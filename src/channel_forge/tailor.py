@@ -12,7 +12,6 @@ gradient-free method and no knowledge of the underlying noise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -22,7 +21,6 @@ from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
 from .channels import (
-    TRACE_ATOL,
     Channel,
     ChannelError,
     channel_to_dict,
@@ -77,22 +75,6 @@ class TailoringRecipe:
 # -- CPTP parameterization ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal, then the row and column indices of the strict upper triangle,
-    of an n x n matrix."""
-    return (np.arange(n), *np.triu_indices(n, k=1))
-
-
-def _check_isometries(kraus: np.ndarray) -> None:
-    """ChannelError unless every Kraus set of the stack ``(blocks, k, d_out, d_in)``
-    satisfies ``sum K^dag K = 1`` within ``TRACE_ATOL``."""
-    completeness = np.einsum("bkji,bkjl->bil", kraus.conj(), kraus)
-    dev = float(np.max(np.abs(completeness - np.eye(kraus.shape[-1]))))
-    if not dev <= TRACE_ATOL:  # NaN fails too
-        raise ChannelError(f"Kraus completeness violated: ||sum K^dag K - 1||_max = {dev:.3e}")
-
-
 @dataclass(frozen=True)
 class CPTPParameterization:
     """Channels encoded by a Stinespring unitary on system (x) ancilla; Method 1
@@ -112,24 +94,15 @@ class CPTPParameterization:
     def n_params(self) -> int:
         return (self.dim * self.ancilla_dim) ** 2
 
-    def kraus_stack(self, params: np.ndarray) -> np.ndarray:
-        """Kraus operators ``(blocks, ancilla_dim, dim, dim)`` of ``params`` read as
-        ``blocks`` consecutive parameter vectors: one batched exponential, and one
-        completeness check of the whole stack at ``TRACE_ATOL`` (ChannelError)."""
-        n, d = self.dim * self.ancilla_dim, self.dim
-        v = np.asarray(params, dtype=float).reshape(-1, self.n_params)
-        diag, rows, cols = _generator_indices(n)
-        h = np.zeros((len(v), n, n), dtype=np.complex128)
-        h[:, diag, diag] = v[:, :n]
-        h[:, rows, cols] = v[:, n::2] + 1j * v[:, n + 1::2]
-        h[:, cols, rows] = v[:, n::2] - 1j * v[:, n + 1::2]
-        kraus = expm(1j * h)[:, :, :d].reshape(len(v), self.ancilla_dim, d, d)
-        _check_isometries(kraus)
-        return kraus
-
     def decode(self, params: np.ndarray) -> Channel:
-        """The channel of one parameter vector, from :meth:`kraus_stack`."""
-        return Channel.from_kraus(self.kraus_stack(params)[0])
+        """The channel of one parameter vector (``Channel.from_kraus`` checks it)."""
+        n, d = self.dim * self.ancilla_dim, self.dim
+        v = np.asarray(params, dtype=float)
+        rows, cols = np.triu_indices(n, k=1)
+        h = np.diag(v[:n]).astype(np.complex128)
+        h[rows, cols] = v[n::2] + 1j * v[n + 1::2]
+        h[cols, rows] = v[n::2] - 1j * v[n + 1::2]
+        return Channel.from_kraus(expm(1j * h)[:, :d].reshape(self.ancilla_dim, d, d))
 
 
 # -- gradient-free maximization ------------------------------------------------
@@ -281,12 +254,6 @@ def _mixture_fidelity(input_superop: np.ndarray, post_superops: np.ndarray,
                        target_choi)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def standard_block_dictionary(dim: int) -> list[Channel]:
     """Stage-one blocks for n-qubit hardware, ``dim = 2**n``: the Pauli conjugations,
     then the inverse 90-degree rotations (1 - iP)/sqrt(2) about each non-identity
@@ -300,6 +267,54 @@ def standard_block_dictionary(dim: int) -> list[Channel]:
     return [Channel.from_unitary(u) for u in paulis + rotations]
 
 
+# Mixture search: the probe length of the directional rates, the gain a step must
+# beat, the step cap, and the pairwise step grid as fractions of the moved mass
+_PROBE = 1e-6
+_STEP_GAIN = 1e-14
+_MAX_STEPS = 120
+_STEP_FRACTIONS = 2.0 ** -np.arange(30)
+
+
+def maximize_mixture_fidelity(chois: np.ndarray, target_choi: np.ndarray):
+    """Maximize F(sum_v p_v chois[v], target) over distributions p on a stack
+    ``(n, D, D)`` of Choi states; F is concave in p, so a local maximum is global.
+
+    Pairwise Frank-Wolfe (Lacoste-Julien & Jaggi, NeurIPS 2015) from the best
+    vertex. Each step scores the probes p + 1e-6 (e_v - p) toward every vertex
+    in one stacked call and stops, converged, when none gains more than 1e-14.
+    Otherwise it scores moving p[away] * 2**-j, j = 0..29, from the used vertex
+    of lowest gain to the vertex of highest gain in one more stacked call, and
+    goes to the best point scored in the step, probes included, so every step
+    gains. Moving all of p[away] drops that vertex exactly, so the search
+    reaches faces. At most 120 steps. Returns (probs, fidelity, evaluations,
+    converged), every scored mixture counted once.
+    """
+    vertices = np.eye(len(chois))
+    evaluations = 0
+
+    def fidelities(tables: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += len(tables)
+        return _fidelities(np.einsum("mv,vpq->mpq", tables, chois), target_choi)
+
+    vertex_f = fidelities(vertices)
+    k = int(np.argmax(vertex_f))
+    probs, f = vertices[k], float(vertex_f[k])
+    for _ in range(_MAX_STEPS):
+        probes = probs + _PROBE * (vertices - probs)
+        probe_f = fidelities(probes)
+        toward = int(np.argmax(probe_f))
+        if probe_f[toward] <= f + _STEP_GAIN:
+            return probs, f, evaluations, True
+        away = int(np.argmin(np.where(probs > 0, probe_f, np.inf)))
+        trials = probs + np.outer(probs[away] * _STEP_FRACTIONS, vertices[toward] - vertices[away])
+        points = np.concatenate([probes, trials])
+        values = np.concatenate([probe_f, fidelities(trials)])
+        k = int(np.argmax(values))
+        probs, f = points[k], float(values[k])
+    return probs, f, evaluations, False
+
+
 def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
                                 blocks: Sequence[Channel],
                                 decorator: Channel | None = None,
@@ -309,12 +324,11 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
     Maximizes F(sum_ij p_ij post_i . input . pre_j, target) over the joint
     distribution only, with index 0 meaning skip and every block of ``blocks``
     (decorated by ``decorator`` when given) offered on each side that
-    ``placement`` uses; the (0, 0) corner is the direct implementation. All
-    pair-product Choi states are precomputed. Fidelity is concave in the
-    distribution, so Frank-Wolfe over the simplex (at most 120 steps) from the
-    best vertex converges to the global optimum. The recipe keeps the blocks
-    that carry weight, with ``converged`` False when the step cap stopped the
-    search and ``evaluations`` counting fidelities, each stacked member once.
+    ``placement`` uses; the (0, 0) corner is the direct implementation. The
+    pair-product Choi states are built once and handed to
+    :func:`maximize_mixture_fidelity`. The recipe keeps the blocks that carry
+    weight, with ``converged`` False when the step cap stopped the search and
+    ``evaluations`` counting fidelities, each stacked member once.
     """
     d = target.dim_in
     blocks = list(blocks)
@@ -323,44 +337,13 @@ def optimize_block_pair_mixture(target: Channel, input_impl: Channel,
                                           sups if placement != "pre" else sups[:0],
                                           sups if placement != "post" else sups[:0]),
                            d, d) / d
-    target_choi = target.choi
-    evaluations = 0
-
-    def fidelities(tables: np.ndarray):
-        """Fidelity of the mixture of each probability table in ``tables`` (or of one)."""
-        nonlocal evaluations
-        evaluations += len(tables) if tables.ndim == 3 else 1
-        return _fidelities(_weighted_sum(tables, pair_chois), target_choi)
-
-    # start from the best vertex (includes the direct corner at (0, 0))
-    shape = pair_chois.shape[:2]
-    vertices = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
-    vertex_f = fidelities(vertices)
-    k = int(np.argmax(vertex_f))
-    probs, f = vertices[k], vertex_f[k]
-    eps = 1e-6
-    converged = False
-    for _ in range(120):
-        # directional derivatives toward every vertex
-        gains = fidelities(probs + eps * (vertices - probs)) - f
-        k = int(np.argmax(gains))
-        if gains[k] <= 1e-14:
-            converged = True
-            break
-        direction = vertices[k] - probs
-        res = minimize_scalar(lambda t: -fidelities(probs + t * direction),
-                              bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-10})
-        t_best, f_best = float(res.x), -float(res.fun)
-        if f_best <= f + 1e-14:
-            converged = True
-            break
-        probs = probs + t_best * direction
-        f = f_best
-    # a row or column never stepped towards is exactly zero
+    flat, f, evaluations, converged = maximize_mixture_fidelity(
+        pair_chois.reshape(-1, d * d, d * d), target.choi)
+    probs = flat.reshape(pair_chois.shape[:2])
+    # a row or column never stepped towards, or emptied by a pairwise step, is exactly zero
     posts, pres = np.flatnonzero(probs[1:].any(axis=1)), np.flatnonzero(probs[:, 1:].any(axis=0))
     return TailoringRecipe(
-        method="building-block", achieved_fidelity=float(f),
+        method="building-block", achieved_fidelity=f,
         post_channels=[blocks[i] for i in posts], pre_channels=[blocks[j] for j in pres],
         mixture=probs[np.ix_([0, *posts + 1], [0, *pres + 1])], converged=converged,
         evaluations=evaluations, details={"placement": placement},

@@ -112,6 +112,18 @@ def test_figures_fig7c_csv_and_determinism(tmp_path):
         assert float(cols[ib]) <= float(cols[ia]) + 1e-9
 
 
+def test_figures_fig6c_budget_flags_leave_the_pauli_stage_alone(capsys):
+    args = ["--format", "json", "figures", "fig6c", "--grid", "3", "--restarts", "1",
+            "--evals", "60"]
+    outputs = []
+    for _ in range(2):
+        assert run_cli(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    row = next(r for r in json.loads(outputs[0]) if r["target_strength"] == 0.5)
+    assert row["fidelity_pauli_probs"] >= 0.9846889225862964 - 1e-9
+
+
 def test_netsim_empty_scenario(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"registers": [], "events": [], "reports": []}))

@@ -16,6 +16,7 @@ from channel_forge.channels import (
 )
 from channel_forge.circuits import build_ad_circuit
 from channel_forge.cli import main
+from channel_forge.figures import fig6c_noise
 from channel_forge.linalg import hermitian_sqrt, reshuffle, uhlmann_gradient
 from channel_forge.noise import (
     BlockModel,
@@ -67,20 +68,24 @@ def test_cptp_parameterization_decodes_valid_channels():
         assert validate_cptp(ch).passed
 
 
+def random_kraus_stack(blocks, ancilla_dim, dim):
+    """Kraus operators ``(blocks, ancilla_dim, dim, dim)``: QR-retracted Gaussian isometries."""
+    shape = (blocks, ancilla_dim * dim, dim)
+    gauss = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    return tailor._retract(gauss).reshape(blocks, ancilla_dim, dim, dim)
+
+
 @pytest.mark.parametrize("dim, ancilla_dim", [(2, 2), (2, 4), (3, 2)])
 def test_decode_is_the_channel_of_the_kraus_stack(dim, ancilla_dim):
     param = CPTPParameterization(dim=dim, ancilla_dim=ancilla_dim)
-    g = param.n_params
-    x = RNG.standard_normal(3 * g)
-    stack = param.kraus_stack(x)
-    assert stack.shape == (3, ancilla_dim, dim, dim)
-    decoded = [param.decode(x[k * g : (k + 1) * g]) for k in range(3)]
-    for k, ch in enumerate(decoded):
-        assert np.array_equal(ch.choi, Channel.from_kraus(stack[k]).choi)
-    # the objective's stacked superoperators are those of the decoded channels, bit for bit
-    for deco in (None, param.decode(0.3 * RNG.standard_normal(g))):
+    stack = random_kraus_stack(3, ancilla_dim, dim)
+    channels = [Channel.from_kraus(k) for k in stack]
+    decoded = param.decode(RNG.standard_normal(param.n_params))
+    assert len(decoded.kraus()) == ancilla_dim
+    # the objective's stacked superoperators are those of the Kraus channels, bit for bit
+    for deco in (None, decoded):
         assert np.array_equal(tailor._kraus_superops(stack, deco),
-                              tailor._block_superops(decoded, deco, dim))
+                              tailor._block_superops(channels, deco, dim))
 
 
 def loop_mixture(input_sup, post_sups, pre_sups, probs):
@@ -99,8 +104,7 @@ def loop_mixture(input_sup, post_sups, pre_sups, probs):
 def test_stacked_mixture_matches_the_term_by_term_loop(n_post, n_pre):
     param = CPTPParameterization(dim=2, ancilla_dim=2)
     decorator = param.decode(0.3 * RNG.standard_normal(param.n_params))
-    sups = tailor._kraus_superops(
-        param.kraus_stack(RNG.standard_normal((n_post + n_pre) * param.n_params)), decorator)
+    sups = tailor._kraus_superops(random_kraus_stack(n_post + n_pre, 2, 2), decorator)
     posts, pres = sups[:n_post], sups[n_post:]
     input_sup = compose(decorator, amplitude_damping(0.2)).superop()
     tables = RNG.dirichlet(np.ones((n_post + 1) * (n_pre + 1)), size=5)
@@ -116,14 +120,12 @@ def test_stacked_mixture_matches_the_term_by_term_loop(n_post, n_pre):
 
 def test_kraus_stack_that_is_not_an_isometry_raises():
     param = CPTPParameterization(dim=2, ancilla_dim=2)
-    stack = param.kraus_stack(RNG.standard_normal(2 * param.n_params))
-    tailor._check_isometries(stack)
-    bad = stack.copy()
-    bad[1] *= 1.001
-    with pytest.raises(ChannelError, match="completeness"):
-        tailor._check_isometries(bad)
     with pytest.raises(ChannelError, match="completeness"), np.errstate(invalid="ignore"):
-        param.kraus_stack(np.full(param.n_params, np.nan))
+        param.decode(np.full(param.n_params, np.nan))
+    stack = random_kraus_stack(1, 2, 2)[0]
+    Channel.from_kraus(stack)
+    with pytest.raises(ChannelError, match="completeness"):
+        Channel.from_kraus(stack * 1.001)
 
 
 def test_a_state_failing_the_check_scores_zero_on_its_own():
@@ -417,6 +419,48 @@ def test_optimize_block_pair_mixture_twirl_beats_direct():
                                       decorator=None)
     assert rec.achieved_fidelity > direct + 1e-4
     assert abs(rec.mixture.sum() - 1) < 1e-9
+
+
+# fig6c's Pauli-probability optimum as multi-start Nelder-Mead over softmax logits found it
+PAULI_NELDER_MEAD = {0.5: 0.9846889225862964, 0.8: 0.9311954518970529, 0.9: 0.8836318341983064}
+
+
+@pytest.mark.parametrize("s", sorted(PAULI_NELDER_MEAD))
+def test_mixture_solver_reaches_the_rank_deficient_pauli_optimum(s):
+    noise = fig6c_noise()
+    chois = np.array([compose(noise, Channel.from_unitary(p)).choi for p in pauli_operators(1)])
+    probs, f, _, converged = tailor.maximize_mixture_fidelity(chois, depolarizing_white(s).choi)
+    assert f >= PAULI_NELDER_MEAD[s] - 1e-9
+    assert converged
+    if s == 0.5:
+        assert probs[3] == 0.0  # the optimum lies on the face p_Z = 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), dim=st.sampled_from([2, 3]))
+def test_mixture_solver_returns_a_scored_distribution_at_least_its_best_vertex(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    chois = np.array([random_channel(dim, int(rng.integers(1, dim * dim + 1)), rng).choi
+                      for _ in range(n)])
+    target = random_channel(dim, int(rng.integers(1, dim * dim + 1)), rng).choi
+    counted = [0]
+    original = tailor._fidelities
+
+    def scorer(states, target_choi):
+        counted[0] += len(states) if states.ndim == 3 else 1
+        return original(states, target_choi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tailor, "_fidelities", scorer)
+        probs, f, evaluations, converged = tailor.maximize_mixture_fidelity(chois, target)
+    assert evaluations == counted[0]
+    assert f >= np.max(tailor._fidelities(chois, target))
+    assert probs.min() >= 0.0 and abs(probs.sum() - 1) <= 1e-12
+    assert f == tailor._fidelities(np.einsum("v,vpq->pq", probs, chois), target)
+    if converged:
+        probes = probs + 1e-6 * (np.eye(n) - probs)
+        gains = tailor._fidelities(np.einsum("mv,vpq->mpq", probes, chois), target) - f
+        assert gains.max() <= 1e-14
 
 
 def test_recipe_mixture_is_distribution():
