@@ -102,18 +102,22 @@ def gate_from_entry(entry: dict, other_keys=frozenset()) -> np.ndarray:
 
 # -- circuit elements ---------------------------------------------------------
 
+# A wire is an integer index in a Circuit and a register name in a network
+# scenario; the same elements, run by run_element, serve both.
+Wire = int | str
+
 
 @dataclass(frozen=True)
 class Gate:
     unitary: np.ndarray
-    wires: tuple[int, ...]
+    wires: tuple[Wire, ...]
     name: str = ""
 
 
 @dataclass(frozen=True)
 class ChannelOp:
     channel: Channel
-    wires: tuple[int, ...]
+    wires: tuple[Wire, ...]
     is_noise: bool = False
     condition: tuple[str, int] | None = None
     name: str = ""
@@ -121,14 +125,14 @@ class ChannelOp:
 
 @dataclass(frozen=True)
 class Measure:
-    wire: int
+    wire: Wire
     register: str
 
 
 @dataclass(frozen=True)
 class ConditionalGate:
     unitary: np.ndarray
-    wires: tuple[int, ...]
+    wires: tuple[Wire, ...]
     register: str
     value: int
     name: str = ""
@@ -136,12 +140,12 @@ class ConditionalGate:
 
 @dataclass(frozen=True)
 class Reset:
-    wire: int
+    wire: Wire
 
 
 @dataclass(frozen=True)
 class TraceOut:
-    wire: int
+    wire: Wire
 
 
 Element = Gate | ChannelOp | Measure | ConditionalGate | Reset | TraceOut
@@ -233,28 +237,37 @@ class ProcessResult:
     branch_log: list[tuple[dict, float]]
 
 
-def _run_elements(engine: StateEngine, circuit: Circuit, handle_of: dict[int, int]) -> None:
-    for el in circuit.elements:
-        if isinstance(el, Gate):
-            engine.apply_unitary(el.unitary, [handle_of[w] for w in el.wires])
-        elif isinstance(el, ChannelOp):
-            handles = [handle_of[w] for w in el.wires]
-            if el.condition is None:
-                engine.apply_channel(el.channel, handles)
-            else:
-                engine.apply_conditional_channel(el.channel, handles, *el.condition)
-        elif isinstance(el, Measure):
-            engine.measure(handle_of[el.wire], el.register)
-        elif isinstance(el, ConditionalGate):
-            engine.apply_conditional_unitary(el.unitary, [handle_of[w] for w in el.wires],
-                                             el.register, el.value)
-        elif isinstance(el, Reset):
-            engine.reset(handle_of[el.wire])
-        elif isinstance(el, TraceOut):
-            engine.trace_out(handle_of[el.wire])
-            handle_of.pop(el.wire)
+def live_handles(handle_of: dict, wires) -> list[int]:
+    """Engine handles of live wires; ChannelError names the first that is not live."""
+    try:
+        return [handle_of[w] for w in wires]
+    except KeyError as exc:
+        raise ChannelError(f"wire {exc.args[0]!r} is not live") from None
+
+
+def run_element(engine: StateEngine, el: Element, handle_of: dict) -> None:
+    """Apply one element to the engine. A wire is a key of ``handle_of``: an
+    integer index in a circuit, a register name in a network scenario."""
+    if isinstance(el, Gate):
+        engine.apply_unitary(el.unitary, live_handles(handle_of, el.wires))
+    elif isinstance(el, ChannelOp):
+        handles = live_handles(handle_of, el.wires)
+        if el.condition is None:
+            engine.apply_channel(el.channel, handles)
         else:
-            raise ChannelError(f"unknown circuit element {el!r}")
+            engine.apply_conditional_channel(el.channel, handles, *el.condition)
+    elif isinstance(el, Measure):
+        engine.measure(*live_handles(handle_of, [el.wire]), el.register)
+    elif isinstance(el, ConditionalGate):
+        engine.apply_conditional_unitary(el.unitary, live_handles(handle_of, el.wires),
+                                         el.register, el.value)
+    elif isinstance(el, Reset):
+        engine.reset(*live_handles(handle_of, [el.wire]))
+    elif isinstance(el, TraceOut):
+        engine.trace_out(*live_handles(handle_of, [el.wire]))
+        handle_of.pop(el.wire)
+    else:
+        raise ChannelError(f"unknown circuit element {el!r}")
 
 
 def _initial_engine(circuit: Circuit, rho_in: np.ndarray | None,
@@ -314,7 +327,8 @@ def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 def simulate_detailed(circuit: Circuit, rho_in: np.ndarray):
     """Like :func:`simulate` but also returns the branch log."""
     engine, handle_of, _ = _initial_engine(circuit, rho_in)
-    _run_elements(engine, circuit, handle_of)
+    for el in circuit.elements:
+        run_element(engine, el, handle_of)
     live = sorted(handle_of)
     return engine.reduced_state([handle_of[w] for w in live]), engine.branch_summary()
 
@@ -335,7 +349,8 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     engine, handle_of, ref_handles = _initial_engine(
         circuit, None, extra_ref_dims=data_dims, joint_ket=ket
     )
-    _run_elements(engine, circuit, handle_of)
+    for el in circuit.elements:
+        run_element(engine, el, handle_of)
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):
         raise ChannelError("a data wire was traced out; cannot extract a channel on it")

@@ -103,6 +103,12 @@ class StateEngine:
         except ValueError:
             raise ChannelError(f"wire handle {handle} is not live") from None
 
+    def _axes(self, wires: list[int]) -> list[int]:
+        axes = [self.axis_of(h) for h in wires]
+        if len(set(axes)) != len(axes):
+            raise ChannelError(f"wires {list(wires)} repeat a wire")
+        return axes
+
     def add_wires(self, dims: list[int], state: np.ndarray | None = None) -> list[int]:
         """Append wires (joint initial state defaults to |0...0>)."""
         d_new = math.prod(dims)
@@ -160,9 +166,7 @@ class StateEngine:
                condition: tuple[str, int] | None = None) -> None:
         """Apply a superoperator, or one operator if ``single``, to every branch
         (matching ``condition``, if given)."""
-        axes = [self.axis_of(h) for h in wires]
-        if len(set(axes)) != len(axes):
-            raise ChannelError(f"wires {list(wires)} repeat a wire")
+        axes = self._axes(wires)
         in_dims = [self.dims[a] for a in axes]
         out_dims = in_dims if out_dims is None else list(out_dims)
         d_in, d_out = math.prod(in_dims), math.prod(out_dims)
@@ -250,8 +254,8 @@ class StateEngine:
 
     def reduced_state(self, wires: list[int]) -> np.ndarray:
         """Mixed state reduced to the given wires, in the given order."""
+        axes = self._axes(wires)
         rho = self.mixed_state()
-        axes = [self.axis_of(h) for h in wires]
         keep_sorted = sorted(axes)
         reduced = partial_trace(rho, self.dims, keep=keep_sorted)
         # reorder kept factors to the requested order

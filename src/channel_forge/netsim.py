@@ -1,23 +1,31 @@
 """Event-driven application of channels and measurements to a network state.
 
 A scenario lists named registers grouped into nodes and a time-ordered
-event sequence: channel/gate applications, projective measurements that
-publish classical messages, operations conditioned on received messages,
-and register creation/removal. Time is logical (event order); waiting in a
-memory or a channel is modeled as a single pre-composed channel supplied by
-the scenario author, so no continuous-time stepping is ever performed.
+event sequence. A network protocol is a circuit over its registers: every
+event but ``add_registers`` (:class:`AddRegisters`) is a circuit element with
+register names as wires, run by :func:`channel_forge.circuits.run_element`.
+``apply_gate`` is a :class:`Gate`, ``apply_channel`` a :class:`ChannelOp`,
+``conditional_gate`` a :class:`ConditionalGate`, ``remove_registers`` one
+:class:`TraceOut` per name, and ``measure`` is
+``Measure(wire=register, register=message)``: the element's ``register`` is
+the name of the classical message it publishes. A conditional channel is
+``ChannelOp(condition=(message, value))``.
+
+Time is logical (event order); waiting in a memory or a channel is modeled
+as a single pre-composed channel supplied by the scenario author, so no
+continuous-time stepping is ever performed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, ChannelError, validate_density
-from .circuits import gate_from_entry
+from .channels import ChannelError, validate_density
+from .circuits import (ChannelOp, ConditionalGate, Gate, Measure, TraceOut, gate_from_entry,
+                       live_handles, run_element)
 from .engine import StateEngine
 from .linalg import (as_complex, decode_complex, parse_each, read_field, refuse_unknown_keys,
                      state_fidelity)
@@ -28,41 +36,6 @@ from .noise import channel_from_entry
 class AddRegisters:
     registers: tuple[tuple[str, int], ...]  # (name, dim) pairs
     state: np.ndarray | None = None  # joint initial state, default |0...0>
-
-
-@dataclass(frozen=True)
-class RemoveRegisters:
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ApplyGate:
-    unitary: np.ndarray
-    registers: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ApplyChannel:
-    channel: Channel
-    registers: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MeasureRegister:
-    register: str
-    message: str  # classical message name published with the outcome
-
-
-@dataclass(frozen=True)
-class ConditionalOp:
-    message: str
-    value: int
-    unitary: np.ndarray | None = None
-    channel: Channel | None = None
-    registers: tuple[str, ...] = ()
-
-
-Event = AddRegisters | RemoveRegisters | ApplyGate | ApplyChannel | MeasureRegister | ConditionalOp
 
 
 @dataclass(frozen=True)
@@ -84,7 +57,8 @@ class NetworkScenario:
 
     ``nodes`` groups register names per node (documentation and validation
     only; dynamics are global). Registers listed in ``initial_registers``
-    exist from the start in |0>.
+    exist from the start in |0>. ``events`` holds circuit elements over
+    register names and :class:`AddRegisters`.
     """
 
     initial_registers: list[tuple[str, int]] = field(default_factory=list)
@@ -101,27 +75,6 @@ class ScenarioReport:
     final_trace: float
 
 
-class _Registry:
-    def __init__(self):
-        self.handle_of: dict[str, int] = {}
-
-    def add(self, name: str, handle: int):
-        if name in self.handle_of:
-            raise ChannelError(f"register {name!r} already exists")
-        self.handle_of[name] = handle
-
-    def pop(self, name: str) -> int:
-        if name not in self.handle_of:
-            raise ChannelError(f"register {name!r} is not live")
-        return self.handle_of.pop(name)
-
-    def get(self, names: Sequence[str]) -> list[int]:
-        missing = [n for n in names if n not in self.handle_of]
-        if missing:
-            raise ChannelError(f"events reference dead or unknown registers {missing}")
-        return [self.handle_of[n] for n in names]
-
-
 def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
     """Execute a scenario deterministically and collect its reports.
 
@@ -130,47 +83,20 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
     the exact branch mixture.
     """
     engine = StateEngine()
-    reg = _Registry()
-    if scenario.initial_registers:
-        handles = engine.add_wires([d for _, d in scenario.initial_registers])
-        for (name, _), h in zip(scenario.initial_registers, handles):
-            reg.add(name, h)
-
-    messages_seen: set[str] = set()
-    for ev in scenario.events:
+    handle_of: dict[str, int] = {}
+    for ev in [AddRegisters(tuple(scenario.initial_registers)), *scenario.events]:
         if isinstance(ev, AddRegisters):
-            dims = [d for _, d in ev.registers]
-            handles = engine.add_wires(dims, state=ev.state)
+            handles = engine.add_wires([d for _, d in ev.registers], ev.state)
             for (name, _), h in zip(ev.registers, handles):
-                reg.add(name, h)
-        elif isinstance(ev, RemoveRegisters):
-            for name in ev.names:
-                engine.trace_out(reg.pop(name))
-        elif isinstance(ev, ApplyGate):
-            engine.apply_unitary(as_complex(ev.unitary), reg.get(ev.registers))
-        elif isinstance(ev, ApplyChannel):
-            engine.apply_channel(ev.channel, reg.get(ev.registers))
-        elif isinstance(ev, MeasureRegister):
-            engine.measure(reg.get([ev.register])[0], ev.message)
-            messages_seen.add(ev.message)
-        elif isinstance(ev, ConditionalOp):
-            if ev.message not in messages_seen:
-                raise ChannelError(f"condition on message {ev.message!r} before it was published")
-            handles = reg.get(ev.registers)
-            if ev.unitary is not None:
-                engine.apply_conditional_unitary(as_complex(ev.unitary), handles,
-                                                 ev.message, ev.value)
-            elif ev.channel is not None:
-                engine.apply_conditional_channel(ev.channel, handles, ev.message, ev.value)
-            else:
-                raise ChannelError("conditional event carries neither a gate nor a channel")
+                if name in handle_of:
+                    raise ChannelError(f"register {name!r} already exists")
+                handle_of[name] = h
         else:
-            raise ChannelError(f"unknown event {ev!r}")
+            run_element(engine, ev, handle_of)
 
     fidelities, states = {}, {}
     for rep in scenario.reports:
-        handles = reg.get(rep.registers)
-        rho = engine.reduced_state(handles)
+        rho = engine.reduced_state(live_handles(handle_of, rep.registers))
         if isinstance(rep, FidelityReport):
             if rep.target_state.shape != rho.shape:
                 raise ChannelError(f"fidelity target {rep.name!r} has shape "
@@ -253,31 +179,31 @@ _REPORT_KEYS = {
 }
 
 
-def _event_from_dict(entry: dict) -> Event:
+def _events_from_dict(entry: dict) -> list:
+    """The events of one entry: one element, or one TraceOut per removed name."""
     etype = read_field(entry, "type", str)
     if etype not in _EVENT_KEYS:
         raise ChannelError(f"unknown event type {etype!r}")
     keys = _EVENT_KEYS[etype]
     if etype == "apply_gate":
-        return ApplyGate(unitary=gate_from_entry(entry, keys), registers=_names(entry, "registers"))
+        return [Gate(gate_from_entry(entry, keys), _names(entry, "registers"))]
     if etype == "apply_channel":
-        return ApplyChannel(channel=channel_from_entry(entry, keys),
-                            registers=_names(entry, "registers"))
+        return [ChannelOp(channel_from_entry(entry, keys), _names(entry, "registers"))]
     if etype == "conditional_gate":
-        return ConditionalOp(message=read_field(entry, "message", str),
-                             value=read_field(entry, "value", int),
-                             unitary=gate_from_entry(entry, keys),
-                             registers=_names(entry, "registers"))
+        return [ConditionalGate(register=read_field(entry, "message", str),
+                                value=read_field(entry, "value", int),
+                                unitary=gate_from_entry(entry, keys),
+                                wires=_names(entry, "registers"))]
     refuse_unknown_keys(entry, keys, f"{etype} event")
     if etype == "add_registers":
         regs = tuple(parse_each(read_field(entry, "registers", list), _register, "registers"))
         dim = math.prod(d for _, d in regs)
         state = _density(entry, "state", (dim, dim)) if "state_re" in entry else None
-        return AddRegisters(registers=regs, state=state)
+        return [AddRegisters(registers=regs, state=state)]
     if etype == "remove_registers":
-        return RemoveRegisters(names=_names(entry, "names"))
-    return MeasureRegister(register=read_field(entry, "register", str),
-                           message=read_field(entry, "message", str))
+        return [TraceOut(wire=name) for name in _names(entry, "names")]
+    return [Measure(wire=read_field(entry, "register", str),
+                    register=read_field(entry, "message", str))]
 
 
 def _report_from_dict(entry: dict):
@@ -300,8 +226,12 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
     refuse_unknown_keys(data, {"registers", "nodes", "events", "reports"}, "scenario")
     nodes_in = read_field(data, "nodes", dict, {})
     nodes = {node: list(_names(nodes_in, node)) for node in nodes_in}
-    events = parse_each(read_field(data, "events", list, []), _event_from_dict, "events")
+    events = [ev for evs in parse_each(read_field(data, "events", list, []), _events_from_dict,
+                                       "events") for ev in evs]
     reports = parse_each(read_field(data, "reports", list, []), _report_from_dict, "reports")
+    report_names = [rep.name for rep in reports]
+    if len(set(report_names)) != len(report_names):
+        raise ChannelError(f"report names repeat: {report_names}")
     declared = {name for name, _ in initial}
     for ev in events:
         if isinstance(ev, AddRegisters):

@@ -315,20 +315,18 @@ def test_criterion_09_invariant_suites():
         out = simulate(noisy, random_density_matrix(2, RNG))
         ok &= abs(float(np.trace(out).real) - 1) < 1e-10
         # netsim trace preservation
-        from channel_forge.circuits import hadamard
-        from channel_forge.netsim import (ApplyChannel, ApplyGate, ConditionalOp,
-                                          MeasureRegister, NetworkScenario,
-                                          RemoveRegisters, run_scenario)
+        from channel_forge.circuits import (ChannelOp, ConditionalGate, Gate, Measure, TraceOut,
+                                            hadamard)
+        from channel_forge.netsim import NetworkScenario, run_scenario
 
         scenario = NetworkScenario(
             initial_registers=[("a", 2), ("b", 2)],
-            events=[ApplyGate(hadamard(), ("a",)),
-                    ApplyGate(cnot(), ("a", "b")),
-                    ApplyChannel(dephasing(0.8), ("b",)),
-                    MeasureRegister("a", "m"),
-                    ConditionalOp("m", 1, unitary=np.array([[0, 1], [1, 0]], dtype=complex),
-                                  registers=("b",)),
-                    RemoveRegisters(("a",))],
+            events=[Gate(hadamard(), ("a",)),
+                    Gate(cnot(), ("a", "b")),
+                    ChannelOp(dephasing(0.8), ("b",)),
+                    Measure("a", "m"),
+                    ConditionalGate(np.array([[0, 1], [1, 0]], dtype=complex), ("b",), "m", 1),
+                    TraceOut("a")],
         )
         rep = run_scenario(scenario)
         ok &= abs(rep.final_trace - 1) < 1e-10

@@ -353,12 +353,19 @@ def test_from_choi_rejects_non_finite():
             Channel.from_choi(choi, 2, 2, validate=validate)
 
 
-def _circuit_with(element, wires=2):
-    return {"wires": [{"label": f"q{i}", "dim": 2} for i in range(wires)], "elements": [element]}
+def _circuit_with(*elements, wires=2):
+    return {"wires": [{"label": f"q{i}", "dim": 2} for i in range(wires)],
+            "elements": list(elements)}
 
 
 NON_UNITARY = {"matrix_re": [[1.0, 1.0], [0.0, 1.0]]}
 NAN_MATRIX = {"matrix_re": [[1.0, 0.0], [0.0, math.nan]]}
+# a well-formed element on a wire an earlier trace-out removed: refused when run
+DEAD_WIRE = [_circuit_with({"type": "trace_out", "wire": 1}, element) for element in (
+    {"type": "gate", "name": "x", "wires": [1]},
+    {"type": "reset", "wire": 1},
+    {"type": "trace_out", "wire": 1},
+)]
 
 
 @pytest.mark.parametrize("doc", [
@@ -377,10 +384,11 @@ NAN_MATRIX = {"matrix_re": [[1.0, 0.0], [0.0, math.nan]]}
         "dim_in": 2, "dim_out": 2, "choi_re": "identity"}}),
     {"wires": [{"label": "q", "dim": 0}]},
     {"wires": [{"label": f"q{i}", "dim": 2} for i in range(13)]},
-])
+] + DEAD_WIRE)
 def test_malformed_circuit_defects(doc, tmp_path, capsys):
-    with pytest.raises(ChannelError, match=r"elements\[0\]" if doc.get("elements") else None):
-        circuit_from_dict(doc)
+    match = "not live" if doc in DEAD_WIRE else r"elements\[0\]" if doc.get("elements") else None
+    with pytest.raises(ChannelError, match=match):
+        run_circuit(doc)
     assert cli_exit(tmp_path, lambda p: ["simulate", p], doc) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -406,6 +414,9 @@ def _scenario_with(event=None, report=None):
         "dim_in": 2, "dim_out": 2, "choi_re": [[0.5] * 4] * 3 + [[0.5] * 3]}}),
     _scenario_with({"type": "add_registers", "registers": [{"name": "c", "dim": 2}],
                     "state_re": [[2.0, 0.0], [0.0, 0.0]]}),
+    _scenario_with(report={"type": "state", "registers": ["a", "a"]}),
+    {"registers": [{"name": "a", "dim": 2}],
+     "reports": [{"type": "state", "name": "r", "registers": ["a"]}] * 2},
 ])
 def test_malformed_scenario_defects(doc, tmp_path, capsys):
     with pytest.raises(ChannelError):

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from channel_forge.channels import ChannelError, random_density_matrix
-from channel_forge.circuits import cnot, hadamard
+from channel_forge.circuits import (Circuit, ChannelOp, ConditionalGate, Gate, Measure, TraceOut,
+                                    cnot, hadamard, simulate_detailed)
 from channel_forge.linalg import state_fidelity
 from channel_forge.netsim import (
     AddRegisters,
-    ApplyChannel,
-    ApplyGate,
-    ConditionalOp,
     FidelityReport,
-    MeasureRegister,
     NetworkScenario,
-    RemoveRegisters,
     StateReport,
     resource_estimate,
     run_scenario,
@@ -28,7 +24,7 @@ BELL_STATE = np.outer(BELL, BELL.conj())
 
 
 def bell_pair_events(a="a", b="b"):
-    return [ApplyGate(hadamard(), (a,)), ApplyGate(cnot(), (a, b))]
+    return [Gate(hadamard(), (a,)), Gate(cnot(), (a, b))]
 
 
 def test_empty_scenario_gives_empty_report():
@@ -42,7 +38,7 @@ def test_bell_plus_memory_dephasing_fidelity():
     scenario = NetworkScenario(
         initial_registers=[("a", 2), ("b", 2)],
         nodes={"alice": ["a"], "bob": ["b"]},
-        events=bell_pair_events() + [ApplyChannel(dephasing(p), ("b",))],
+        events=bell_pair_events() + [ChannelOp(dephasing(p), ("b",))],
         reports=[FidelityReport("bell", ("a", "b"), BELL_STATE)],
     )
     report = run_scenario(scenario)
@@ -63,17 +59,17 @@ def test_teleportation_over_depolarizing_link():
         reports=[StateReport("out", ("b",))],
     )
     scenario.events.extend(bell_pair_events("a", "b"))
-    scenario.events.append(ApplyChannel(link, ("b",)))  # noisy distribution of the pair
+    scenario.events.append(ChannelOp(link, ("b",)))  # noisy distribution of the pair
     # Bell measurement on (msg, a) with classical feedback to b
-    scenario.events.append(ApplyGate(cnot(), ("msg", "a")))
-    scenario.events.append(ApplyGate(hadamard(), ("msg",)))
-    scenario.events.append(MeasureRegister("a", "m_x"))
-    scenario.events.append(MeasureRegister("msg", "m_z"))
-    scenario.events.append(ConditionalOp("m_x", 1, unitary=PAULI_X, registers=("b",)))
-    scenario.events.append(ConditionalOp("m_z", 1, unitary=PAULI_Z, registers=("b",)))
-    scenario.events.append(RemoveRegisters(("msg", "a")))
+    scenario.events.append(Gate(cnot(), ("msg", "a")))
+    scenario.events.append(Gate(hadamard(), ("msg",)))
+    scenario.events.append(Measure("a", "m_x"))
+    scenario.events.append(Measure("msg", "m_z"))
+    scenario.events.append(ConditionalGate(PAULI_X, ("b",), "m_x", 1))
+    scenario.events.append(ConditionalGate(PAULI_Z, ("b",), "m_z", 1))
+    scenario.events.extend([TraceOut("msg"), TraceOut("a")])
     # teleported state must equal the link channel applied to psi; prepare psi
-    scenario.events.insert(0, ApplyGate(_prep_unitary(psi), ("msg",)))
+    scenario.events.insert(0, Gate(_prep_unitary(psi), ("msg",)))
     report = run_scenario(scenario)
     expected = link.apply(psi)
     assert np.max(np.abs(report.states["out"] - expected)) < 1e-10
@@ -98,15 +94,15 @@ def test_memory_wait_collapsing():
     )
     two = NetworkScenario(
         initial_registers=base.initial_registers,
-        events=base.events + [ApplyChannel(dephasing(p1), ("b",)),
-                              ApplyChannel(dephasing(p2), ("b",))],
+        events=base.events + [ChannelOp(dephasing(p1), ("b",)),
+                              ChannelOp(dephasing(p2), ("b",))],
         reports=base.reports,
     )
     from channel_forge.channels import compose
 
     one = NetworkScenario(
         initial_registers=base.initial_registers,
-        events=base.events + [ApplyChannel(compose(dephasing(p2), dephasing(p1)), ("b",))],
+        events=base.events + [ChannelOp(compose(dephasing(p2), dephasing(p1)), ("b",))],
         reports=base.reports,
     )
     s_two = run_scenario(two).states["s"]
@@ -117,8 +113,8 @@ def test_memory_wait_collapsing():
 def test_event_order_determinism():
     scenario = NetworkScenario(
         initial_registers=[("a", 2), ("b", 2)],
-        events=bell_pair_events() + [MeasureRegister("a", "m"),
-                                     ConditionalOp("m", 1, unitary=PAULI_X, registers=("b",))],
+        events=bell_pair_events() + [Measure("a", "m"),
+                                     ConditionalGate(PAULI_X, ("b",), "m", 1)],
         reports=[StateReport("s", ("b",))],
     )
     r1 = run_scenario(scenario)
@@ -131,12 +127,12 @@ def test_global_trace_preserved():
     scenario = NetworkScenario(
         initial_registers=[("a", 2), ("b", 2), ("c", 2)],
         events=bell_pair_events() + [
-            ApplyChannel(depolarizing(0.7), ("c",)),
-            MeasureRegister("c", "m"),
-            ConditionalOp("m", 0, unitary=PAULI_Z, registers=("a",)),
-            RemoveRegisters(("c",)),
+            ChannelOp(depolarizing(0.7), ("c",)),
+            Measure("c", "m"),
+            ConditionalGate(PAULI_Z, ("a",), "m", 0),
+            TraceOut("c"),
             AddRegisters((("d", 2),)),
-            ApplyGate(cnot(), ("b", "d")),
+            Gate(cnot(), ("b", "d")),
         ],
         reports=[],
     )
@@ -144,10 +140,34 @@ def test_global_trace_preserved():
     assert abs(report.final_trace - 1) < 1e-10
 
 
+def _protocol(w):
+    """A gate, a channel, a measurement, a conditional gate, a conditional
+    channel and a trace-out over the wires ``w[0..2]``."""
+    return [Gate(hadamard(), (w[0],)), Gate(cnot(), (w[0], w[1])),
+            ChannelOp(depolarizing(0.8), (w[1],)),
+            Measure(w[0], "m"),
+            ConditionalGate(PAULI_X, (w[2],), "m", 1),
+            ChannelOp(dephasing(0.7), (w[1],), condition=("m", 0)),
+            TraceOut(w[0])]
+
+
+def test_circuit_and_scenario_run_through_one_interpreter():
+    names = ("a", "b", "c")
+    circuit = Circuit(wires=[(n, 2) for n in names], elements=_protocol((0, 1, 2)))
+    zero = np.zeros((8, 8), dtype=complex)
+    zero[0, 0] = 1.0
+    state, branches = simulate_detailed(circuit, zero)
+    scenario = NetworkScenario(initial_registers=[(n, 2) for n in names],
+                               events=_protocol(names), reports=[StateReport("s", ("b", "c"))])
+    report = run_scenario(scenario)
+    assert np.array_equal(state, report.states["s"])
+    assert branches == report.branch_log
+
+
 def test_dangling_condition_raises():
     scenario = NetworkScenario(
         initial_registers=[("a", 2)],
-        events=[ConditionalOp("ghost", 1, unitary=PAULI_X, registers=("a",))],
+        events=[ConditionalGate(PAULI_X, ("a",), "ghost", 1)],
     )
     with pytest.raises(ChannelError):
         run_scenario(scenario)
@@ -156,7 +176,7 @@ def test_dangling_condition_raises():
 def test_dead_register_raises():
     scenario = NetworkScenario(
         initial_registers=[("a", 2), ("b", 2)],
-        events=[RemoveRegisters(("a",)), ApplyGate(PAULI_X, ("a",))],
+        events=[TraceOut("a"), Gate(PAULI_X, ("a",))],
     )
     with pytest.raises(ChannelError):
         run_scenario(scenario)
@@ -175,7 +195,7 @@ def test_erasure_changes_register_dimension():
 
     scenario = NetworkScenario(
         initial_registers=[("a", 2)],
-        events=[ApplyGate(hadamard(), ("a",)), ApplyChannel(erasure(0.5, 2), ("a",))],
+        events=[Gate(hadamard(), ("a",)), ChannelOp(erasure(0.5, 2), ("a",))],
         reports=[StateReport("s", ("a",))],
     )
     report = run_scenario(scenario)
