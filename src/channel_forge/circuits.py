@@ -325,10 +325,10 @@ def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 
 
 def simulate_detailed(circuit: Circuit, rho_in: np.ndarray):
-    """Like :func:`simulate` but also returns the branch log."""
+    """Like :func:`simulate` but also returns the branch log. A ChannelError
+    raised while running names the element, ``elements[i]``, as parsing does."""
     engine, handle_of, _ = _initial_engine(circuit, rho_in)
-    for el in circuit.elements:
-        run_element(engine, el, handle_of)
+    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
     live = sorted(handle_of)
     return engine.reduced_state([handle_of[w] for w in live]), engine.branch_summary()
 
@@ -339,7 +339,8 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     One half of a maximally entangled state over the data wires is fed
     through the circuit while reference copies stay untouched; the final
     joint state is the (trace-1) Choi state of the effective map. Every
-    non-data wire must be traced out by the end of the circuit.
+    non-data wire must be traced out by the end of the circuit. A ChannelError
+    raised while running names the element, ``elements[i]``.
     """
     data = circuit.data()
     dims = circuit.wire_dims()
@@ -349,8 +350,7 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     engine, handle_of, ref_handles = _initial_engine(
         circuit, None, extra_ref_dims=data_dims, joint_ket=ket
     )
-    for el in circuit.elements:
-        run_element(engine, el, handle_of)
+    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):
         raise ChannelError("a data wire was traced out; cannot extract a channel on it")

@@ -384,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figures", help="emit figure sweep data")
     p_fig.add_argument("figure", choices=sorted(fig.FIGURES))
     p_fig.add_argument("--grid", type=_int_from(1), default=20)
-    p_fig.add_argument("--restarts", type=_int_from(1), default=3)
-    p_fig.add_argument("--evals", type=_int_from(1), default=1200)
+    p_fig.add_argument("--restarts", type=_int_from(1), default=3, help=(
+        "random Method-1 seesaw starts (fig5a, fig5b, fig6c's full column) or L-BFGS-B "
+        "restarts (fig6b); fig6a and fig7c ignore it"))
+    p_fig.add_argument("--evals", type=_int_from(1), default=1200, help=(
+        "evaluation cap of each seesaw start (fig5a, fig5b, fig6c's full column) or function-"
+        "evaluation cap of each L-BFGS-B restart (fig6b); fig6a and fig7c ignore it"))
 
     p_tailor = sub.add_parser("tailor", help="run a tailoring job config")
     p_tailor.add_argument("--config", required=True)

@@ -177,8 +177,12 @@ class StateEngine:
         branches = self.branches
         if condition is not None:
             register, value = condition
-            if not any(register == r for r, _, _ in self.measurement_log):
+            outcomes = {o for r, o, _ in self.measurement_log if r == register}
+            if not outcomes:
                 raise ChannelError(f"condition references unmeasured register {register!r}")
+            if value not in outcomes:
+                raise ChannelError(f"condition value {value} is not an outcome of register "
+                                   f"{register!r}")
             branches = [b for b in branches if b.records.get(register) == value]
         new_dims = list(self.dims)
         for a, d in zip(axes, out_dims):

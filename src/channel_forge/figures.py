@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .channels import Channel, choi_fidelity, compose, mix
+from .channels import Channel, choi_fidelity, compose
 from .circuits import Circuit, build_ad_circuit, cnot, controlled_ry, extract_channel, ry, rz
 from .noise import (
     BlockModel,
@@ -30,7 +30,6 @@ from .tailor import (
     BuildingBlockConfig,
     OptimizerConfig,
     ParametricCircuit,
-    _maximize,
     building_block_optimize,
     full_circuit_tailor,
     maximize_mixture_fidelity,
@@ -57,7 +56,7 @@ def bitflip_ancilla_fidelity(target_p: float, p: float, q: float) -> float:
     return 0.25 * (np.sqrt(max(a, 0.0)) + np.sqrt(max(b, 0.0))) ** 2
 
 
-def _maximize_over_p(fidelity, target_p: float, q: float, xatol: float = 1e-8):
+def _best_p(fidelity, target_p: float, q: float, xatol: float = 1e-8):
     res = minimize_scalar(lambda p: -fidelity(target_p, p, q), bounds=(0.0, 1.0),
                           method="bounded", options={"xatol": xatol})
     # guard the interval ends; the bounded method never samples them exactly
@@ -71,8 +70,8 @@ def fig7c_rows(grid: int = 20, xatol: float = 1e-8) -> list[dict]:
     rows = []
     for target_p in np.linspace(0.0, 1.0, grid):
         for q in np.linspace(0.0, 1.0, grid):
-            pa, fa = _maximize_over_p(bitflip_stochastic_fidelity, target_p, q, xatol)
-            pb, fb = _maximize_over_p(bitflip_ancilla_fidelity, target_p, q, xatol)
+            pa, fa = _best_p(bitflip_stochastic_fidelity, target_p, q, xatol)
+            pb, fb = _best_p(bitflip_ancilla_fidelity, target_p, q, xatol)
             rows.append({
                 "target_p": target_p, "q": q,
                 "best_p_stochastic": pa, "best_fidelity_stochastic": fa,
@@ -239,40 +238,11 @@ def fig6c_noise() -> Channel:
     return compose(amplitude_damping(1 - FIG6C_Q), dephasing(FIG6C_Q))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def _unitary_mixture_channel(params: np.ndarray, noise: Channel | None) -> Channel:
-    """Mixture of four tunable single-qubit unitaries behind block noise.
-
-    Layout: 4 logits followed by 4 z-y-z angle triples.
-    """
-    probs = _softmax(params[:4])
-    chans = []
-    for k in range(4):
-        a, b, c = params[4 + 3 * k : 7 + 3 * k]
-        u = rz(a) @ ry(b) @ rz(c)
-        ch = Channel.from_unitary(u)
-        chans.append(ch)
-    mixture = mix(chans, probs)
-    return compose(noise, mixture) if noise is not None else mixture
-
-
-_PAULI_ANGLE_SEEDS = np.array([
-    [0.0, 0.0, 0.0],          # identity
-    [0.0, np.pi, np.pi],      # X up to phase: Ry(pi)Rz(pi) = X (global phase)
-    [0.0, np.pi, 0.0],        # Y up to phase
-    [np.pi, 0.0, 0.0],        # Z up to phase
-])
-
-
 def fig6c_rows(strengths=None, seed: int = 0,
                optimizer: OptimizerConfig | None = None) -> list[dict]:
     """Depolarizing-target tailoring: direct Pauli mixture, optimized Pauli
-    probabilities, and a fully tunable four-unitary mixture."""
+    probabilities, and a mixture of four tunable unitaries before the noise
+    (Method 1 with one-Kraus blocks)."""
     if strengths is None:
         strengths = np.linspace(0.0, 1.0, 11)
     noise = fig6c_noise()
@@ -285,23 +255,16 @@ def fig6c_rows(strengths=None, seed: int = 0,
         target_probs = np.array([float(s) + (1 - float(s)) / 4] + [(1 - float(s)) / 4] * 3)
         direct = compose(noise, pauli_mixture_channel(target_probs))
         direct_f = choi_fidelity(direct, target)
-
-        probs, pf, _, _ = maximize_mixture_fidelity(pauli_chois, target.choi)
-        pauli_f = max(pf, direct_f)
-
-        def full_objective(params: np.ndarray) -> float:
-            return choi_fidelity(_unitary_mixture_channel(params, noise), target)
-
-        full_seed = np.concatenate([np.log(np.clip(probs, 1e-9, None)), _PAULI_ANGLE_SEEDS.ravel()])
-        fx, ff, _, _ = _maximize(full_objective, 16,
-                                 replace(opt, seed=opt.seed + 31 + int(s * 997)),
-                                 seeds=[full_seed])
-        full_f = max(ff, pauli_f)
+        pauli_f = max(maximize_mixture_fidelity(pauli_chois, target.choi)[1], direct_f)
+        cfg = BuildingBlockConfig(placement="pre", mixture_size=4, ancilla_dim=1,
+                                  noisy_blocks=False,
+                                  optimizer=replace(opt, seed=opt.seed + 31 + int(s * 997)))
+        full_f = building_block_optimize(target, noise, None, cfg).achieved_fidelity
         rows.append({
             "target_strength": float(s), "q": FIG6C_Q,
             "fidelity_direct": direct_f,
             "fidelity_pauli_probs": pauli_f,
-            "fidelity_full_circuit": full_f,
+            "fidelity_full_circuit": max(full_f, pauli_f),
         })
     return rows
 

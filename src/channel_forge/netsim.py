@@ -5,8 +5,8 @@ event sequence. A network protocol is a circuit over its registers: every
 event but ``add_registers`` (:class:`AddRegisters`) is a circuit element with
 register names as wires, run by :func:`channel_forge.circuits.run_element`.
 ``apply_gate`` is a :class:`Gate`, ``apply_channel`` a :class:`ChannelOp`,
-``conditional_gate`` a :class:`ConditionalGate`, ``remove_registers`` one
-:class:`TraceOut` per name, and ``measure`` is
+``conditional_gate`` a :class:`ConditionalGate`, ``remove_registers`` a
+tuple of one :class:`TraceOut` per name, and ``measure`` is
 ``Measure(wire=register, register=message)``: the element's ``register`` is
 the name of the classical message it publishes. A conditional channel is
 ``ChannelOp(condition=(message, value))``.
@@ -58,7 +58,8 @@ class NetworkScenario:
     ``nodes`` groups register names per node (documentation and validation
     only; dynamics are global). Registers listed in ``initial_registers``
     exist from the start in |0>. ``events`` holds circuit elements over
-    register names and :class:`AddRegisters`.
+    register names, :class:`AddRegisters`, and tuples of elements run in order
+    as one event.
     """
 
     initial_registers: list[tuple[str, int]] = field(default_factory=list)
@@ -80,11 +81,13 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
 
     Measurements keep exact branches; conditional operations act per
     branch on the recorded messages; reported states and fidelities use
-    the exact branch mixture.
+    the exact branch mixture. A ChannelError raised while running names the
+    event, ``events[i]``, as parsing does.
     """
     engine = StateEngine()
     handle_of: dict[str, int] = {}
-    for ev in [AddRegisters(tuple(scenario.initial_registers)), *scenario.events]:
+
+    def run_event(ev) -> None:
         if isinstance(ev, AddRegisters):
             handles = engine.add_wires([d for _, d in ev.registers], ev.state)
             for (name, _), h in zip(ev.registers, handles):
@@ -92,7 +95,11 @@ def run_scenario(scenario: NetworkScenario) -> ScenarioReport:
                     raise ChannelError(f"register {name!r} already exists")
                 handle_of[name] = h
         else:
-            run_element(engine, ev, handle_of)
+            for el in ev if isinstance(ev, tuple) else [ev]:
+                run_element(engine, el, handle_of)
+
+    run_event(AddRegisters(tuple(scenario.initial_registers)))
+    parse_each(scenario.events, run_event, "events")
 
     fidelities, states = {}, {}
     for rep in scenario.reports:
@@ -179,31 +186,32 @@ _REPORT_KEYS = {
 }
 
 
-def _events_from_dict(entry: dict) -> list:
-    """The events of one entry: one element, or one TraceOut per removed name."""
+def _event_from_dict(entry: dict):
+    """The event of one entry: an element, AddRegisters, or a tuple of one
+    TraceOut per removed name."""
     etype = read_field(entry, "type", str)
     if etype not in _EVENT_KEYS:
         raise ChannelError(f"unknown event type {etype!r}")
     keys = _EVENT_KEYS[etype]
     if etype == "apply_gate":
-        return [Gate(gate_from_entry(entry, keys), _names(entry, "registers"))]
+        return Gate(gate_from_entry(entry, keys), _names(entry, "registers"))
     if etype == "apply_channel":
-        return [ChannelOp(channel_from_entry(entry, keys), _names(entry, "registers"))]
+        return ChannelOp(channel_from_entry(entry, keys), _names(entry, "registers"))
     if etype == "conditional_gate":
-        return [ConditionalGate(register=read_field(entry, "message", str),
-                                value=read_field(entry, "value", int),
-                                unitary=gate_from_entry(entry, keys),
-                                wires=_names(entry, "registers"))]
+        return ConditionalGate(register=read_field(entry, "message", str),
+                               value=read_field(entry, "value", int),
+                               unitary=gate_from_entry(entry, keys),
+                               wires=_names(entry, "registers"))
     refuse_unknown_keys(entry, keys, f"{etype} event")
     if etype == "add_registers":
         regs = tuple(parse_each(read_field(entry, "registers", list), _register, "registers"))
         dim = math.prod(d for _, d in regs)
         state = _density(entry, "state", (dim, dim)) if "state_re" in entry else None
-        return [AddRegisters(registers=regs, state=state)]
+        return AddRegisters(registers=regs, state=state)
     if etype == "remove_registers":
-        return [TraceOut(wire=name) for name in _names(entry, "names")]
-    return [Measure(wire=read_field(entry, "register", str),
-                    register=read_field(entry, "message", str))]
+        return tuple(TraceOut(wire=name) for name in _names(entry, "names"))
+    return Measure(wire=read_field(entry, "register", str),
+                   register=read_field(entry, "message", str))
 
 
 def _report_from_dict(entry: dict):
@@ -226,8 +234,7 @@ def scenario_from_dict(data: dict) -> NetworkScenario:
     refuse_unknown_keys(data, {"registers", "nodes", "events", "reports"}, "scenario")
     nodes_in = read_field(data, "nodes", dict, {})
     nodes = {node: list(_names(nodes_in, node)) for node in nodes_in}
-    events = [ev for evs in parse_each(read_field(data, "events", list, []), _events_from_dict,
-                                       "events") for ev in evs]
+    events = parse_each(read_field(data, "events", list, []), _event_from_dict, "events")
     reports = parse_each(read_field(data, "reports", list, []), _report_from_dict, "reports")
     report_names = [rep.name for rep in reports]
     if len(set(report_names)) != len(report_names):

@@ -5,9 +5,10 @@ with optimized correction channels applied before/after/both, mixed with
 optimized probabilities (each correction itself decorated by hardware
 noise). Tailored circuits adjust circuit parameters analytically or
 numerically: Pauli-diagonal post-processing has a closed-form solution,
-amplitude-damping repeats a discrete one, and rotation angles a 1-D search.
-The black-box route optimizes any parameter-to-fidelity oracle with a
-gradient-free method and no knowledge of the underlying noise.
+amplitude-damping repeats a discrete one, a rotation angle a 1-D search and
+a full circuit template multi-start L-BFGS-B. The black-box route optimizes
+any parameter-to-fidelity oracle with a gradient-free method and no
+knowledge of the underlying noise.
 """
 
 from __future__ import annotations
@@ -105,46 +106,21 @@ class CPTPParameterization:
         return Channel.from_kraus(expm(1j * h)[:, :d].reshape(self.ancilla_dim, d, d))
 
 
-# -- gradient-free maximization ------------------------------------------------
+# -- multi-start search budgets ------------------------------------------------
 
 
-# Nelder-Mead tolerances and the spread of random restarts around zero
-_XATOL, _FATOL = 1e-8, 1e-12
+# spread of the random starts around zero
 _START_SCALE = 0.5
 
 
 @dataclass
 class OptimizerConfig:
-    """Budget and seed of the multi-start searches: Nelder-Mead restarts, or
-    Method 1's random seesaw starts and the evaluation cap of each."""
+    """Budget and seed of the multi-start searches: Method 1's random seesaw
+    starts, or the full-circuit L-BFGS-B restarts, and the evaluation cap of each."""
 
     restarts: int = 8
     max_evals_per_restart: int = 2000
     seed: int = 0
-
-
-def _maximize(objective: Callable[[np.ndarray], float], n_params: int,
-              config: OptimizerConfig, seeds: Sequence[np.ndarray] = ()):
-    """Multi-start maximization; returns (best_x, best_f, evals, converged)."""
-    rng = np.random.default_rng(config.seed)
-    evals = 0
-
-    def neg(x):
-        nonlocal evals
-        evals += 1
-        return -objective(x)
-
-    starts = [np.asarray(s, dtype=float) for s in seeds]
-    while len(starts) < config.restarts + len(seeds):
-        starts.append(_START_SCALE * rng.standard_normal(n_params))
-    best_x, best_f, converged = None, -np.inf, False
-    for x0 in starts:
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"maxfev": config.max_evals_per_restart,
-                                "xatol": _XATOL, "fatol": _FATOL})
-        if -res.fun > best_f:
-            best_x, best_f, converged = res.x, -res.fun, bool(res.success)
-    return best_x, best_f, evals, converged
 
 
 # -- Method 1: building blocks --------------------------------------------------
@@ -768,27 +744,36 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
                         seeds: Sequence[np.ndarray] = ()) -> TailoringRecipe:
     """Method 2 with full circuit flexibility: optimize all template parameters.
 
-    Seeding with a restricted-parameterization optimum guarantees the
-    result is at least as good as any restricted tailoring on the same
-    template.
+    Multi-start L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16,
+    1190 (1995)) with scipy's finite-difference gradient, from each of
+    ``seeds`` and then from ``restarts`` random points, with
+    ``max_evals_per_restart`` as each start's ``maxfun``. Seeding with a
+    restricted-parameterization optimum guarantees the result is at least as
+    good as any restricted tailoring on the same template.
     """
     optimizer = optimizer or OptimizerConfig(restarts=4, max_evals_per_restart=400)
+    evals = 0
 
-    def objective(params: np.ndarray) -> float:
+    def neg(params: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
         c = template.build(np.asarray(params, dtype=float))
         if hw is not None:
             c = apply_noise_model(c, hw)
         try:
-            return choi_fidelity(extract_channel(c).channel, target)
+            return -choi_fidelity(extract_channel(c).channel, target)
         except ChannelError:
             return 0.0
 
-    best_x, best_f, evals, converged = _maximize(objective, template.n_params,
-                                                 optimizer, seeds=seeds)
+    rng = np.random.default_rng(optimizer.seed)
+    draws = _START_SCALE * rng.standard_normal((optimizer.restarts, template.n_params))
+    best = min((minimize(neg, np.asarray(x0, dtype=float), method="L-BFGS-B",
+                         options={"maxfun": optimizer.max_evals_per_restart})
+                for x0 in [*seeds, *draws]), key=lambda res: res.fun)
     return TailoringRecipe(
-        method="tailored-circuit", achieved_fidelity=best_f,
-        circuit_params={"params": np.asarray(best_x)},
-        converged=converged, evaluations=evals,
+        method="tailored-circuit", achieved_fidelity=-float(best.fun),
+        circuit_params={"params": best.x},
+        converged=bool(best.success), evaluations=evals,
         details={"template": template.name},
     )
 

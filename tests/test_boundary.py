@@ -29,6 +29,7 @@ from channel_forge.circuits import (
     circuit_from_dict,
     circuit_to_dict,
     cnot,
+    extract_channel,
     simulate_detailed,
 )
 from channel_forge.cli import main
@@ -366,6 +367,13 @@ DEAD_WIRE = [_circuit_with({"type": "trace_out", "wire": 1}, element) for elemen
     {"type": "reset", "wire": 1},
     {"type": "trace_out", "wire": 1},
 )]
+# a condition value that no outcome of the measured qubit takes: refused when run
+IMPOSSIBLE_CONDITION = [_circuit_with({"type": "measure", "wire": 1, "register": "m"}, element)
+                        for value in (7, -1) for element in (
+    {"type": "conditional_gate", "name": "x", "wires": [0], "register": "m", "value": value},
+    {"type": "channel", "name": "dephasing", "q": 0.5, "wires": [0],
+     "condition": {"register": "m", "value": value}},
+)]
 
 
 @pytest.mark.parametrize("doc", [
@@ -384,9 +392,10 @@ DEAD_WIRE = [_circuit_with({"type": "trace_out", "wire": 1}, element) for elemen
         "dim_in": 2, "dim_out": 2, "choi_re": "identity"}}),
     {"wires": [{"label": "q", "dim": 0}]},
     {"wires": [{"label": f"q{i}", "dim": 2} for i in range(13)]},
-] + DEAD_WIRE)
+] + DEAD_WIRE + IMPOSSIBLE_CONDITION)
 def test_malformed_circuit_defects(doc, tmp_path, capsys):
-    match = "not live" if doc in DEAD_WIRE else r"elements\[0\]" if doc.get("elements") else None
+    match = ("not live" if doc in DEAD_WIRE else "not an outcome" if doc in IMPOSSIBLE_CONDITION
+             else r"elements\[0\]" if doc.get("elements") else None)
     with pytest.raises(ChannelError, match=match):
         run_circuit(doc)
     assert cli_exit(tmp_path, lambda p: ["simulate", p], doc) == 2
@@ -417,12 +426,38 @@ def _scenario_with(event=None, report=None):
     _scenario_with(report={"type": "state", "registers": ["a", "a"]}),
     {"registers": [{"name": "a", "dim": 2}],
      "reports": [{"type": "state", "name": "r", "registers": ["a"]}] * 2},
-])
+] + [{"registers": [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}], "events": [
+    {"type": "measure", "register": "a", "message": "m"},
+    {"type": "conditional_gate", "name": "x", "registers": ["b"], "message": "m", "value": value},
+]} for value in (7, -1)])
 def test_malformed_scenario_defects(doc, tmp_path, capsys):
     with pytest.raises(ChannelError):
         run_scenario(scenario_from_dict(doc))
     assert cli_exit(tmp_path, lambda p: ["netsim", p], doc) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_circuit_run_time_error_names_its_element(tmp_path, capsys):
+    doc = {**_circuit_with({"type": "trace_out", "wire": 1}, {"type": "reset", "wire": 1}),
+           "data_wires": [0]}
+    for run in (run_circuit, lambda d: extract_channel(circuit_from_dict(d))):
+        with pytest.raises(ChannelError, match=r"^elements\[1\]: wire 1 is not live$"):
+            run(doc)
+    assert cli_exit(tmp_path, lambda p: ["simulate", p], doc) == 2
+    assert "error: elements[1]: wire 1 is not live" in capsys.readouterr().err
+
+
+def test_scenario_run_time_error_names_its_json_event(tmp_path, capsys):
+    # events[i] counts JSON entries: the two-name removal is one event
+    doc = {"registers": [{"name": "a", "dim": 2}], "events": [
+        {"type": "add_registers", "registers": [{"name": "b", "dim": 2}, {"name": "c", "dim": 2}]},
+        {"type": "remove_registers", "names": ["b", "c"]},
+        {"type": "apply_gate", "name": "x", "registers": ["c"]},
+    ]}
+    with pytest.raises(ChannelError, match=r"^events\[2\]: wire 'c' is not live$"):
+        run_doc(doc)
+    assert cli_exit(tmp_path, lambda p: ["netsim", p], doc) == 2
+    assert "error: events[2]: wire 'c' is not live" in capsys.readouterr().err
 
 
 def test_tailoring_job_without_target(tmp_path, capsys):

@@ -242,12 +242,16 @@ def test_conditional_ops_touch_only_matching_branches(reg, value, as_channel):
     wires = [handles[a] for a in axes]
     d = int(np.prod([dims[a] for a in axes]))
     if as_channel:
-        ch = random_channel(d, 2, rng)
-        kraus = ch.kraus()
-        eng.apply_conditional_channel(ch, wires, "m", value)
+        op = random_channel(d, 2, rng)
+        kraus, apply = op.kraus(), eng.apply_conditional_channel
     else:
         kraus = [random_unitary(d, rng)]
-        eng.apply_conditional_unitary(kraus[0], wires, "m", value)
+        op, apply = kraus[0], eng.apply_conditional_unitary
+    if value >= dims[0]:  # not an outcome of the measured qubit: refused, nothing touched
+        with pytest.raises(ChannelError, match="not an outcome"):
+            apply(op, wires, "m", value)
+    else:
+        apply(op, wires, "m", value)
     for b in eng.branches:
         outcome = b.records["m"]
         if outcome == value:
