@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Channel, ChannelError, channel_to_dict, check_unitary, mix
-from .engine import MAX_TOTAL_DIMENSION, StateEngine, permute_factors
-from .linalg import (as_complex, decode_complex, encode_complex, kron, max_entangled_ket,
+from .engine import MAX_TOTAL_DIMENSION, StateEngine
+from .linalg import (as_complex, decode_complex, encode_complex, max_entangled_ket,
                      parse_each, read_field, refuse_unknown_keys)
 from .noise import PAULI_X, PAULI_Y, PAULI_Z, channel_from_entry
 
@@ -270,49 +270,18 @@ def run_element(engine: StateEngine, el: Element, handle_of: dict) -> None:
         raise ChannelError(f"unknown circuit element {el!r}")
 
 
-def _initial_engine(circuit: Circuit, rho_in: np.ndarray | None,
-                    extra_ref_dims: list[int] | None = None,
-                    joint_ket: np.ndarray | None = None):
-    """Set up the engine state: rho_in on the data wires, |0> ancillas, optional refs.
-
-    When ``joint_ket`` is given it is a pure state over (data wires + refs)
-    in that factor order and overrides ``rho_in``.
-    """
+def _initial_engine(circuit: Circuit, state: np.ndarray, ref_dims: Sequence[int] = ()):
+    """Engine holding ``state`` over the data wires, then ``ref_dims`` reference
+    wires, with every other wire an ancilla in |0>. Returns the engine, the
+    handle of each wire and the reference handles."""
     data = circuit.data()
     dims = circuit.wire_dims()
-    n = len(dims)
-    ancillas = [w for w in range(n) if w not in data]
+    ancillas = [w for w in range(len(dims)) if w not in data]
     engine = StateEngine()
-
-    ref_dims = extra_ref_dims or []
-    # factor order used to build the initial state: data..., refs..., ancillas...
-    build_dims = [dims[w] for w in data] + ref_dims + [dims[w] for w in ancillas]
-    if joint_ket is not None:
-        ket = joint_ket
-        for w in ancillas:
-            anc = np.zeros(dims[w], dtype=np.complex128)
-            anc[0] = 1.0
-            ket = kron(ket[:, None], anc[:, None]).reshape(-1)
-        rho0 = np.outer(ket, ket.conj())
-    else:
-        rho0 = as_complex(rho_in)
-        d_data = math.prod(dims[w] for w in data)
-        if rho0.shape != (d_data, d_data):
-            raise ChannelError(f"input state shape {rho0.shape} does not match data wires {data}")
-        for w in ancillas:
-            anc = np.zeros((dims[w], dims[w]), dtype=np.complex128)
-            anc[0, 0] = 1.0
-            rho0 = kron(rho0, anc)
-    # permute factors from build order to engine order (wire index order, refs last)
-    build_order = list(data) + [n + i for i in range(len(ref_dims))] + ancillas
-    target_order = list(range(n)) + [n + i for i in range(len(ref_dims))]
-    perm = [build_order.index(t) for t in target_order]
-    rho0 = permute_factors(rho0, build_dims, perm)
-    engine_dims = dims + ref_dims
-    handles = engine.add_wires(engine_dims, state=rho0)
-    handle_of = {w: handles[w] for w in range(n)}
-    ref_handles = handles[n:]
-    return engine, handle_of, ref_handles
+    handles = engine.add_wires([dims[w] for w in data] + list(ref_dims), state=state)
+    handle_of = dict(zip(data, handles))
+    handle_of.update(zip(ancillas, engine.add_wires([dims[w] for w in ancillas])))
+    return engine, handle_of, handles[len(data):]
 
 
 def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
@@ -347,9 +316,7 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     data_dims = [dims[w] for w in data]
     d = math.prod(data_dims)
     ket = max_entangled_ket(d)
-    engine, handle_of, ref_handles = _initial_engine(
-        circuit, None, extra_ref_dims=data_dims, joint_ket=ket
-    )
+    engine, handle_of, ref_handles = _initial_engine(circuit, np.outer(ket, ket.conj()), data_dims)
     parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):

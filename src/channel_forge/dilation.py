@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, ChannelError, check_kraus, check_unitary
-from .circuits import shift_operator
+from .circuits import Circuit, shift_operator, simulate
 from .linalg import (
     RANK_CUTOFF,
     as_complex,
@@ -26,7 +26,6 @@ from .linalg import (
     dagger,
     encode_complex,
     hermitian_sqrt,
-    partial_trace,
 )
 from .noise import bell_diagonal_weights, pauli_operators
 
@@ -44,16 +43,10 @@ class StinespringDilation:
     system_dim: int
 
     def execute(self, rho: np.ndarray) -> np.ndarray:
-        """tr_ancilla[ U (|0><0| (x) rho) U^dag ]."""
-        rho = as_complex(rho)
-        d = self.system_dim
-        if rho.shape != (d, d):
-            raise ChannelError(f"state shape {rho.shape} does not match system dim {d}")
-        anc = np.zeros((self.ancilla_dim, self.ancilla_dim), dtype=np.complex128)
-        anc[0, 0] = 1.0
-        full = np.kron(anc, rho)
-        evolved = self.unitary @ full @ dagger(self.unitary)
-        return partial_trace(evolved, [self.ancilla_dim, d], keep=[1])
+        """tr_ancilla[ U (|0><0| (x) rho) U^dag ], simulated as a circuit."""
+        circuit = Circuit(wires=[("ancilla", self.ancilla_dim), ("system", self.system_dim)],
+                          data_wires=(1,))
+        return simulate(circuit.gate(self.unitary, [0, 1]).trace_out(0), rho)
 
     def channel(self) -> Channel:
         """Effective channel realized by the dilation."""
@@ -261,6 +254,8 @@ class POVMSpec:
         for o in self.elements:
             if o.shape != (d, d):
                 raise ChannelError("POVM elements must share one square shape")
+            if np.max(np.abs(o - dagger(o))) > 1e-10:
+                raise ChannelError("POVM element is not Hermitian")
             lo = float(np.linalg.eigvalsh((o + dagger(o)) / 2)[0])
             if lo < -1e-10:
                 raise ChannelError(f"POVM element not PSD: min eigenvalue {lo:.3e}")
@@ -353,8 +348,8 @@ def projective_channel_routine(projectors: list[np.ndarray],
                                corrections: list[np.ndarray]) -> ProjectiveRoutine:
     """Ancilla-free routine for a caller-supplied {(P_i, U_i)} factorization.
 
-    Checks that each P_i is a projector, that they resolve the identity, and
-    that each correction is unitary.
+    Checks that each P_i is an orthogonal projector (P^2 = P = P^dag), that
+    they resolve the identity, and that each correction is unitary.
     """
     if len(projectors) != len(corrections):
         raise ChannelError("projectors and corrections must pair up")
@@ -365,8 +360,9 @@ def projective_channel_routine(projectors: list[np.ndarray],
     d = projs[0].shape[0]
     acc = np.zeros((d, d), dtype=np.complex128)
     for p in projs:
-        if np.max(np.abs(p @ p - p)) > 1e-10:
-            raise ChannelError("supplied operator is not a projector (P^2 != P)")
+        if max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - dagger(p)))) > 1e-10:
+            raise ChannelError("supplied operator is not an orthogonal projector "
+                               "(P^2 != P or P != P^dag)")
         acc += p
     if np.max(np.abs(acc - np.eye(d))) > 1e-10:
         raise ChannelError("projectors do not resolve the identity")

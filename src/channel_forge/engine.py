@@ -32,16 +32,6 @@ class Branch:
     records: dict = field(default_factory=dict)
 
 
-def permute_factors(rho: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
-    """Reorder tensor factors of a density matrix: new factor i = old factor perm[i]."""
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    axes = list(perm) + [n + p for p in perm]
-    t = t.transpose(axes)
-    d = math.prod(dims)
-    return t.reshape(d, d)
-
-
 def _check_memory(branches: int, dim: int) -> None:
     """Raise before the engine would hold more than MAX_STATE_BYTES of states."""
     if branches * dim * dim * 16 > MAX_STATE_BYTES:
@@ -259,10 +249,10 @@ class StateEngine:
     def reduced_state(self, wires: list[int]) -> np.ndarray:
         """Mixed state reduced to the given wires, in the given order."""
         axes = self._axes(wires)
-        rho = self.mixed_state()
-        keep_sorted = sorted(axes)
-        reduced = partial_trace(rho, self.dims, keep=keep_sorted)
-        # reorder kept factors to the requested order
-        order = [keep_sorted.index(a) for a in axes]
-        kept_dims = [self.dims[a] for a in keep_sorted]
-        return permute_factors(reduced, kept_dims, order)
+        keep = sorted(axes)
+        kept_dims = [self.dims[a] for a in keep]
+        t = partial_trace(self.mixed_state(), self.dims, keep=keep).reshape(kept_dims * 2)
+        # reorder the kept factors, row and column axes alike, to the requested order
+        order = [keep.index(a) for a in axes]
+        d = math.prod(kept_dims)
+        return t.transpose(order + [len(keep) + i for i in order]).reshape(d, d)

@@ -13,12 +13,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .channels import Channel, choi_fidelity, compose
-from .circuits import Circuit, build_ad_circuit, cnot, controlled_ry, extract_channel, ry, rz
+from .circuits import Circuit, build_ad_circuit, cnot, controlled_ry, ry, rz
 from .noise import (
     BlockModel,
     GateModel,
     amplitude_damping,
-    apply_noise_model,
     bit_flip,
     dephasing,
     depolarizing,
@@ -31,6 +30,7 @@ from .tailor import (
     OptimizerConfig,
     ParametricCircuit,
     building_block_optimize,
+    circuit_fidelity,
     full_circuit_tailor,
     maximize_mixture_fidelity,
     pauli_mixture_channel,
@@ -175,8 +175,7 @@ def fig6a_rows(gammas=None) -> list[dict]:
         target = amplitude_damping(float(g))
         ideal_theta = 2 * np.arcsin(np.sqrt(float(g)))
         rec = theta_tailor(target, lambda th: build_ad_circuit(th), hw)
-        naive = apply_noise_model(build_ad_circuit(ideal_theta), hw)
-        naive_f = choi_fidelity(extract_channel(naive).channel, target)
+        naive_f = circuit_fidelity(build_ad_circuit(ideal_theta), target, hw)
         rows.append({
             "gamma": float(g), "q": FIG6A_Q,
             "theta_ideal": ideal_theta,

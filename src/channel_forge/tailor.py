@@ -692,6 +692,14 @@ def ad_repeat_tailor(hw_p: float, target_p: float, n_max: int,
     return best
 
 
+def circuit_fidelity(circuit, target: Channel, hw: NoiseModel | None = None) -> float:
+    """Method 2's objective: the Choi fidelity to ``target`` of the channel the
+    circuit realizes, decorated by the noise model ``hw`` when given."""
+    if hw is not None:
+        circuit = apply_noise_model(circuit, hw)
+    return choi_fidelity(extract_channel(circuit).channel, target)
+
+
 def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
                  hw: NoiseModel | None = None, grid: int = 49) -> TailoringRecipe:
     """1-D tailoring of a rotation angle in [0, pi] against a noisy circuit.
@@ -705,10 +713,7 @@ def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
     def fidelity_of(theta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        c = circuit_builder(theta)
-        if hw is not None:
-            c = apply_noise_model(c, hw)
-        return choi_fidelity(extract_channel(c).channel, target)
+        return circuit_fidelity(circuit_builder(theta), target, hw)
 
     lo, hi = 0.0, np.pi
     thetas = np.linspace(lo, hi, grid)
@@ -758,10 +763,10 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
         nonlocal evals
         evals += 1
         c = template.build(np.asarray(params, dtype=float))
-        if hw is not None:
+        if hw is not None:  # outside the guard: a noise model that misfits the wires raises
             c = apply_noise_model(c, hw)
         try:
-            return -choi_fidelity(extract_channel(c).channel, target)
+            return -circuit_fidelity(c, target)
         except ChannelError:
             return 0.0
 
@@ -918,10 +923,7 @@ def run_tailoring_job(config: dict) -> dict:
         target = channel_from_entry(read_field(config, "target", dict))
 
         def oracle(params):
-            c = build_ad_circuit(float(params[0]))
-            if hw is not None:
-                c = apply_noise_model(c, hw)
-            return choi_fidelity(extract_channel(c).channel, target)
+            return circuit_fidelity(build_ad_circuit(float(params[0])), target, hw)
 
         x0 = np.array([read_field(config, "theta0", float, np.pi / 2)])
         rec = blackbox_optimize(oracle, 1, budget=max_evals or 300, seed=seed, x0=x0)

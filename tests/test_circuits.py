@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from channel_forge.channels import (
     Channel,
@@ -102,6 +106,62 @@ def test_simulate_interleaved_data_wires():
     expect = np.zeros(4, dtype=complex)
     expect[3] = 1.0
     assert np.max(np.abs(out - np.outer(expect, expect.conj()))) < 1e-12
+
+
+def _reorder(dims, order):
+    """Permutation matrix taking a ket over factors of ``dims`` to the ket whose
+    factor j is factor ``order[j]``."""
+    p = np.zeros((math.prod(dims),) * 2)
+    new_dims = [dims[a] for a in order]
+    for idx in np.ndindex(*dims):
+        p[np.ravel_multi_index([idx[a] for a in order], new_dims),
+          np.ravel_multi_index(idx, dims)] = 1.0
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wire_order_matches_dense_kron_reference(data):
+    # data wires in any order with ancillas between them, one gate on any
+    # ordered wire subset: simulate and extract_channel against np.kron
+    n = data.draw(st.integers(2, 4))
+    dims = data.draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, n - 1))
+    data_wires, ancillas = tuple(order[:k]), sorted(order[k:])
+    gate_wires = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    d_data = math.prod(dims[w] for w in data_wires)
+    d_anc = math.prod(dims[w] for w in ancillas)
+    assume(math.prod(dims) * d_data <= 400)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d_gate = math.prod(dims[w] for w in gate_wires)
+    q, r = np.linalg.qr(rng.standard_normal((d_gate, d_gate))
+                        + 1j * rng.standard_normal((d_gate, d_gate)))
+    u = q * np.sign(np.diag(r).real)
+    c = Circuit(wires=[(f"w{i}", d) for i, d in enumerate(dims)], data_wires=data_wires)
+    c.gate(u, gate_wires)
+    for w in ancillas:
+        c.trace_out(w)
+
+    # dense reference, in factor order (data wires..., ancillas...)
+    rest = [w for w in range(n) if w not in gate_wires]
+    to_gate = _reorder(dims, list(gate_wires) + rest)
+    to_input = _reorder(dims, list(data_wires) + ancillas)
+    gate_u = to_gate.T @ np.kron(u, np.eye(math.prod(dims) // d_gate)) @ to_gate
+    full_u = to_input @ gate_u @ to_input.T
+    zero = np.zeros((d_anc, d_anc))
+    zero[0, 0] = 1.0
+
+    def reference(rho):
+        out = full_u @ np.kron(rho, zero) @ full_u.conj().T
+        return np.trace(out.reshape(d_data, d_anc, d_data, d_anc), axis1=1, axis2=3)
+
+    rho = random_density_matrix(d_data, rng)
+    ascending = _reorder([dims[w] for w in data_wires], sorted(range(k), key=data_wires.__getitem__))
+    assert np.max(np.abs(simulate(c, rho) - ascending @ reference(rho) @ ascending.T)) < 1e-12
+    units = np.eye(d_data * d_data).reshape(d_data * d_data, d_data, d_data)
+    choi = sum(np.kron(reference(e), e) for e in units) / d_data
+    assert np.max(np.abs(extract_channel(c).channel.choi - choi)) < 1e-12
 
 
 def test_extract_identity_circuit():

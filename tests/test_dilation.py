@@ -247,6 +247,9 @@ def test_povm_validation():
     with pytest.raises(ChannelError):
         POVMSpec(elements=(np.diag([1.0, -0.2]).astype(complex),
                            np.diag([0.0, 1.2]).astype(complex)))
+    o1 = np.array([[0.5, 0.3], [-0.3, 0.5]], dtype=complex)  # PSD Hermitian part, complete
+    with pytest.raises(ChannelError, match="not Hermitian"):
+        POVMSpec(elements=(o1, np.eye(2) - o1))
 
 
 def test_povm_random_born_sweep():
@@ -300,3 +303,8 @@ def test_projective_validation():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ChannelError):
         projective_channel_routine([p0, p1], [np.eye(2, dtype=complex), 2 * PAULI_X])
+    # idempotent and resolving the identity, but oblique (not Hermitian)
+    oblique = [np.array([[1, 1], [0, 0]], dtype=complex),
+               np.array([[0, -1], [0, 1]], dtype=complex)]
+    with pytest.raises(ChannelError, match="orthogonal projector"):
+        projective_channel_routine(oblique, [np.eye(2, dtype=complex)] * 2)
