@@ -164,6 +164,11 @@ class Circuit:
     elements: list = field(default_factory=list)
     data_wires: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if any(d < 1 for _, d in self.wires) or math.prod(self.wire_dims()) > MAX_TOTAL_DIMENSION:
+            raise ChannelError(f"wire dims must be positive with a product of at most "
+                               f"{MAX_TOTAL_DIMENSION}, got {self.wire_dims()}")
+
     def wire_dims(self) -> list[int]:
         return [d for _, d in self.wires]
 
@@ -270,10 +275,10 @@ def run_element(engine: StateEngine, el: Element, handle_of: dict) -> None:
         raise ChannelError(f"unknown circuit element {el!r}")
 
 
-def _initial_engine(circuit: Circuit, state: np.ndarray, ref_dims: Sequence[int] = ()):
-    """Engine holding ``state`` over the data wires, then ``ref_dims`` reference
-    wires, with every other wire an ancilla in |0>. Returns the engine, the
-    handle of each wire and the reference handles."""
+def _run(circuit: Circuit, state: np.ndarray, ref_dims: Sequence[int] = ()):
+    """Run the circuit on an engine holding ``state`` over the data wires, then
+    ``ref_dims`` reference wires, with every other wire an ancilla in |0>.
+    Returns the engine, the handle of each live wire and the reference handles."""
     data = circuit.data()
     dims = circuit.wire_dims()
     ancillas = [w for w in range(len(dims)) if w not in data]
@@ -281,6 +286,7 @@ def _initial_engine(circuit: Circuit, state: np.ndarray, ref_dims: Sequence[int]
     handles = engine.add_wires([dims[w] for w in data] + list(ref_dims), state=state)
     handle_of = dict(zip(data, handles))
     handle_of.update(zip(ancillas, engine.add_wires([dims[w] for w in ancillas])))
+    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
     return engine, handle_of, handles[len(data):]
 
 
@@ -296,8 +302,7 @@ def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 def simulate_detailed(circuit: Circuit, rho_in: np.ndarray):
     """Like :func:`simulate` but also returns the branch log. A ChannelError
     raised while running names the element, ``elements[i]``, as parsing does."""
-    engine, handle_of, _ = _initial_engine(circuit, rho_in)
-    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
+    engine, handle_of, _ = _run(circuit, rho_in)
     live = sorted(handle_of)
     return engine.reduced_state([handle_of[w] for w in live]), engine.branch_summary()
 
@@ -315,9 +320,11 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     dims = circuit.wire_dims()
     data_dims = [dims[w] for w in data]
     d = math.prod(data_dims)
+    total = d * math.prod(dims)  # checked before the d^2 x d^2 input is built
+    if total > MAX_TOTAL_DIMENSION:
+        raise ChannelError(f"total dimension {total} exceeds engine cap {MAX_TOTAL_DIMENSION}")
     ket = max_entangled_ket(d)
-    engine, handle_of, ref_handles = _initial_engine(circuit, np.outer(ket, ket.conj()), data_dims)
-    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
+    engine, handle_of, ref_handles = _run(circuit, np.outer(ket, ket.conj()), data_dims)
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):
         raise ChannelError("a data wire was traced out; cannot extract a channel on it")
@@ -467,9 +474,6 @@ def circuit_from_dict(data: dict) -> Circuit:
     naming ``elements[i]``."""
     wires = parse_each(read_field(data, "wires", list), _wire, "wires")
     refuse_unknown_keys(data, {"wires", "data_wires", "elements"}, "circuit")
-    if any(d < 1 for _, d in wires) or math.prod(d for _, d in wires) > MAX_TOTAL_DIMENSION:
-        raise ChannelError(f"wire dims must be positive with a product of at most "
-                           f"{MAX_TOTAL_DIMENSION}, got {[d for _, d in wires]}")
     c = Circuit(wires=wires)
     if "data_wires" in data:
         c.data_wires = c._check_wires(read_field(data, "data_wires", list))

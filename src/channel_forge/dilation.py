@@ -1,14 +1,16 @@
-"""Executable routines realizing arbitrary channels on perfect hardware.
+"""Executable routines realizing arbitrary channels, each one a circuit.
 
 Two constructions are provided. The ancilla-assisted route embeds the Kraus
 operators as the first block-column of a unitary on ancilla (x) system and
 traces the ancilla afterwards. The extended-qudit route packs the channel
 branches into orthogonal level ranges of one larger qudit: a unitary built
-from the SVD factors of the Kraus operators, a projective measurement onto
-the level ranges, and per-outcome correction unitaries, after which the
-outcome is erased by exact mixing. POVMs ride on the same machinery with the
-outcome kept instead of erased, and channels of the measure-then-correct
-form get a dedicated ancilla-free routine.
+from the SVD factors of the Kraus operators, a readout of the level range
+(its index is added coherently into an ancilla, which is measured), and
+per-outcome correction unitaries, after which the outcome is erased by exact
+mixing. POVMs ride on the same machinery with the outcome kept instead of
+erased, and a measure-then-correct channel is an extended-qudit routine with
+no extra levels. Every routine runs as its ``circuit()`` on the one engine,
+so a hardware noise model can decorate it like any other circuit.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, ChannelError, check_kraus, check_unitary
-from .circuits import Circuit, shift_operator, simulate
+from .circuits import Circuit, _run, shift_operator, simulate
 from .linalg import (
     RANK_CUTOFF,
     as_complex,
     complete_orthonormal_columns,
     dagger,
     encode_complex,
+    hermitian_eigensystem,
     hermitian_sqrt,
 )
 from .noise import bell_diagonal_weights, pauli_operators
@@ -42,11 +45,15 @@ class StinespringDilation:
     ancilla_dim: int
     system_dim: int
 
+    def circuit(self) -> Circuit:
+        """Wires (ancilla, system): the gate ``unitary``, then the ancilla traced out."""
+        c = Circuit(wires=[("ancilla", self.ancilla_dim), ("system", self.system_dim)],
+                    data_wires=(1,))
+        return c.gate(self.unitary, [0, 1]).trace_out(0)
+
     def execute(self, rho: np.ndarray) -> np.ndarray:
         """tr_ancilla[ U (|0><0| (x) rho) U^dag ], simulated as a circuit."""
-        circuit = Circuit(wires=[("ancilla", self.ancilla_dim), ("system", self.system_dim)],
-                          data_wires=(1,))
-        return simulate(circuit.gate(self.unitary, [0, 1]).trace_out(0), rho)
+        return simulate(self.circuit(), rho)
 
     def channel(self) -> Channel:
         """Effective channel realized by the dilation."""
@@ -81,9 +88,10 @@ class QuditRoutine:
     """Channel realization inside one extended qudit.
 
     Data lives in the first ``data_dim`` levels of a ``total_dim``-level
-    system. The routine applies ``unitary``, measures the projectors onto
-    consecutive level ranges [boundaries[i], boundaries[i+1]), applies the
-    branch correction ``corrections[i]``, and finally erases the outcome.
+    system. The routine applies ``unitary``, reads out which of the
+    consecutive level ranges [boundaries[i], boundaries[i+1]) holds the
+    state, applies the branch correction ``corrections[i]``, and finally
+    erases the outcome.
     """
 
     total_dim: int
@@ -97,14 +105,27 @@ class QuditRoutine:
     def n_branches(self) -> int:
         return len(self.branch_ranks)
 
-    def projectors(self) -> list[np.ndarray]:
-        projs = []
-        for i in range(self.n_branches):
-            p = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-            lo, hi = self.boundaries[i], self.boundaries[i + 1]
-            p[lo:hi, lo:hi] = np.eye(hi - lo)
-            projs.append(p)
-        return projs
+    def circuit(self) -> Circuit:
+        """Wires (qudit, range), the range an ancilla of ``n_branches`` levels.
+
+        ``unitary`` acts on the qudit; the permutation |j, a> -> |j, a + r(j)
+        mod n>, r(j) the range holding level j, copies the range index into
+        the ancilla, which is measured into register ``branch`` and traced
+        out (each branch keeps a qudit state, not a (qudit, range) one); each
+        outcome's correction follows. Only the range index is read, so
+        coherence inside a range is kept.
+        """
+        dim, n = self.total_dim, self.n_branches
+        c = Circuit(wires=[("qudit", dim), ("range", n)], data_wires=(0,))
+        level_range = np.repeat(np.arange(n), np.diff(self.boundaries))
+        images = np.arange(dim)[:, None] * n + (np.arange(n) + level_range[:, None]) % n
+        readout = np.zeros((dim * n, dim * n), dtype=np.complex128)
+        readout[images.ravel(), np.arange(dim * n)] = 1.0
+        c.gate(self.unitary, [0]).gate(readout, [0, 1])
+        c.measure(1, "branch").trace_out(1)
+        for i, correction in enumerate(self.corrections):
+            c.conditional_gate(correction, [0], "branch", i)
+        return c
 
     def embed(self, rho: np.ndarray) -> np.ndarray:
         """rho (+) 0 on the full qudit space."""
@@ -115,25 +136,17 @@ class QuditRoutine:
         big[: self.data_dim, : self.data_dim] = rho
         return big
 
-    def branch_states(self, rho: np.ndarray):
-        """Per-outcome (probability, corrected full-space state) pairs."""
-        big = self.unitary @ self.embed(rho) @ dagger(self.unitary)
-        out = []
-        for proj, corr in zip(self.projectors(), self.corrections):
-            sel = proj @ big @ proj
-            p = float(np.trace(sel).real)
-            state = corr @ sel @ dagger(corr)
-            out.append((p, state))
-        return out
+    def _engine(self, rho: np.ndarray):
+        """The engine after the circuit on rho: one branch per outcome above
+        the engine's probability floor, its state normalized."""
+        return _run(self.circuit(), self.embed(rho))[0]
 
     def branch_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.array([p for p, _ in self.branch_states(rho)])
+        return np.array([p for _, _, p in self._engine(rho).measurement_log])
 
     def execute(self, rho: np.ndarray) -> np.ndarray:
         """Run the routine with outcome erasure; returns the data-subspace state."""
-        total = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        for p, state in self.branch_states(rho):
-            total += state
+        total = simulate(self.circuit(), self.embed(rho))
         if self.total_dim > self.data_dim:
             residual = float(np.max(np.abs(total[self.data_dim:, :])))
             if residual > 1e-9:
@@ -295,12 +308,11 @@ class POVMRoutine:
         b = self.branch_of_outcome[outcome]
         if b is None:
             raise ChannelError(f"outcome {outcome} has zero POVM element")
-        branches = self.routine.branch_states(rho)
-        p, state = branches[b]
-        if p <= 1e-15:
+        found = [br for br in self.routine._engine(rho).branches if br.records["branch"] == b]
+        if not found:
             raise ChannelError(f"outcome {outcome} has zero probability on this state")
         d = self.routine.data_dim
-        return state[:d, :d] / p
+        return found[0].rho[:d, :d]
 
 
 def povm_to_routine(povm: POVMSpec) -> POVMRoutine:
@@ -323,33 +335,15 @@ def povm_to_routine(povm: POVMSpec) -> POVMRoutine:
     return POVMRoutine(povm=povm, routine=routine, branch_of_outcome=tuple(branch_of_outcome))
 
 
-@dataclass(frozen=True)
-class ProjectiveRoutine:
-    """Measure {P_i}, apply the correction U_i, erase the outcome.
-
-    Realizes channels with Kraus form {U_i P_i} without any ancilla.
-    """
-
-    projectors: tuple[np.ndarray, ...]
-    corrections: tuple[np.ndarray, ...]
-
-    def execute(self, rho: np.ndarray) -> np.ndarray:
-        rho = as_complex(rho)
-        out = np.zeros_like(rho)
-        for p, u in zip(self.projectors, self.corrections):
-            out += u @ p @ rho @ p @ dagger(u)
-        return out
-
-    def channel(self) -> Channel:
-        return Channel.from_kraus([u @ p for p, u in zip(self.projectors, self.corrections)])
-
-
 def projective_channel_routine(projectors: list[np.ndarray],
-                               corrections: list[np.ndarray]) -> ProjectiveRoutine:
+                               corrections: list[np.ndarray]) -> QuditRoutine:
     """Ancilla-free routine for a caller-supplied {(P_i, U_i)} factorization.
 
     Checks that each P_i is an orthogonal projector (P^2 = P = P^dag), that
-    they resolve the identity, and that each correction is unitary.
+    they resolve the identity, and that each correction is unitary. With V
+    the eigenvectors of the P_i side by side, the routine is a qudit routine
+    with no extra levels: unitary V^dag, level ranges of the ranks of the P_i
+    and corrections U_i V, so its Kraus operators are U_i P_i.
     """
     if len(projectors) != len(corrections):
         raise ChannelError("projectors and corrections must pair up")
@@ -368,7 +362,12 @@ def projective_channel_routine(projectors: list[np.ndarray],
         raise ChannelError("projectors do not resolve the identity")
     if any(check_unitary(u).shape != (d, d) for u in corrs):
         raise ChannelError("corrections must act on the projectors' space")
-    return ProjectiveRoutine(projectors=tuple(projs), corrections=tuple(corrs))
+    vecs = [v[:, vals > 0.5] for vals, v in map(hermitian_eigensystem, projs)]
+    ranks = [v.shape[1] for v in vecs]
+    v = np.hstack(vecs)
+    return QuditRoutine(total_dim=d, data_dim=d, unitary=dagger(v),
+                        boundaries=tuple(np.cumsum([0, *ranks]).tolist()),
+                        corrections=tuple(u @ v for u in corrs), branch_ranks=tuple(ranks))
 
 
 def routine_to_dict(routine: QuditRoutine) -> dict:

@@ -101,6 +101,8 @@ class StateEngine:
 
     def add_wires(self, dims: list[int], state: np.ndarray | None = None) -> list[int]:
         """Append wires (joint initial state defaults to |0...0>)."""
+        if not dims and state is None:  # nothing to add: skip the copy of every branch
+            return []
         d_new = math.prod(dims)
         if self.total_dim * d_new > MAX_TOTAL_DIMENSION:
             raise ChannelError(

@@ -754,20 +754,23 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
     ``seeds`` and then from ``restarts`` random points, with
     ``max_evals_per_restart`` as each start's ``maxfun``. Seeding with a
     restricted-parameterization optimum guarantees the result is at least as
-    good as any restricted tailoring on the same template.
+    good as any restricted tailoring on the same template. A point whose
+    circuit raises ChannelError scores 0.0; when every evaluation raises, the
+    template cannot run at all, and ChannelError names it and the last error.
     """
     optimizer = optimizer or OptimizerConfig(restarts=4, max_evals_per_restart=400)
-    evals = 0
+    evals, failed, last_error = 0, 0, None
 
     def neg(params: np.ndarray) -> float:
-        nonlocal evals
+        nonlocal evals, failed, last_error
         evals += 1
         c = template.build(np.asarray(params, dtype=float))
         if hw is not None:  # outside the guard: a noise model that misfits the wires raises
             c = apply_noise_model(c, hw)
         try:
             return -circuit_fidelity(c, target)
-        except ChannelError:
+        except ChannelError as exc:
+            failed, last_error = failed + 1, exc
             return 0.0
 
     rng = np.random.default_rng(optimizer.seed)
@@ -775,6 +778,8 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
     best = min((minimize(neg, np.asarray(x0, dtype=float), method="L-BFGS-B",
                          options={"maxfun": optimizer.max_evals_per_restart})
                 for x0 in [*seeds, *draws]), key=lambda res: res.fun)
+    if failed == evals:
+        raise ChannelError(f"template {template.name!r} failed at every evaluation: {last_error}")
     return TailoringRecipe(
         method="tailored-circuit", achieved_fidelity=-float(best.fun),
         circuit_params={"params": best.x},

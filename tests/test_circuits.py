@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ def test_extract_refuses_traced_data_wire():
     c.trace_out(0)
     with pytest.raises(ChannelError):
         extract_channel(c)
+
+
+def test_extract_refuses_over_the_cap_before_building_its_input():
+    # 6 data qubits and 1 ancilla: a Choi input of dimension 64 x 128 = 8192
+    c = Circuit(wires=[(f"q{i}", 2) for i in range(7)], data_wires=tuple(range(6)))
+    c.trace_out(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChannelError, match="exceeds engine cap"):
+            extract_channel(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_reset_reinitializes_wire():

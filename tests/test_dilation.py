@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_forge.channels import (
     Channel,
@@ -7,12 +9,14 @@ from channel_forge.channels import (
     choi_fidelity,
     random_channel,
     random_density_matrix,
+    validate_cptp,
 )
-from channel_forge.circuits import shift_operator
+from channel_forge.circuits import extract_channel, shift_operator
 from channel_forge.dilation import (
     NOT_MIXED_UNITARY,
     NotMixedUnitary,
     POVMSpec,
+    QuditRoutine,
     mixed_unitary_decompose,
     extended_qudit_routine,
     povm_to_routine,
@@ -23,6 +27,8 @@ from channel_forge.dilation import (
 from channel_forge.linalg import dagger
 from channel_forge.noise import (
     PAULI_X,
+    GateModel,
+    apply_noise_model,
     amplitude_damping,
     bit_flip,
     dephasing,
@@ -102,9 +108,7 @@ def test_qudit_ad_example_matches_printed_construction():
     for j in range(3):
         overlap = abs(np.vdot(printed[:, j], routine.unitary[:, j]))
         assert abs(overlap - 1) < 1e-12, f"column {j} differs beyond a phase"
-    projs = routine.projectors()
-    assert np.allclose(projs[0], np.diag([1, 1, 0]))
-    assert np.allclose(projs[1], np.diag([0, 0, 1]))
+    assert routine.boundaries == (0, 2, 3)
     assert np.allclose(routine.corrections[0], np.eye(3))
     assert np.allclose(routine.corrections[1], dagger(shift_operator(3)))
     assert abs(routine.overhead() - (np.log2(3) - 1)) < 1e-12
@@ -141,6 +145,30 @@ def test_qudit_execute_matches_channel_action():
     routine = extended_qudit_routine(ch.kraus())
     rho = random_density_matrix(2, RNG)
     assert np.max(np.abs(routine.execute(rho) - ch.apply(rho))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_qudit_routine_on_the_engine_matches_the_channel(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    rank = data.draw(st.integers(1, d * d))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ch = random_channel(d, rank, rng)
+    routine = extended_qudit_routine(ch.kraus())
+    rho = random_density_matrix(d, rng)
+    assert np.max(np.abs(routine.execute(rho) - ch.apply(rho))) < 1e-10
+    born = [np.trace(k @ rho @ dagger(k)).real for k in routine.channel().kraus()]
+    assert np.max(np.abs(routine.branch_probabilities(rho) - born)) < 1e-10
+
+
+def test_qudit_routine_over_the_engine_cap_raises():
+    # 65 levels x 64 branches = 4160 > 4096, refused before the range readout is built
+    routine = QuditRoutine(total_dim=65, data_dim=2, unitary=np.eye(65, dtype=complex),
+                           boundaries=(0, *range(2, 66)),
+                           corrections=(np.eye(65, dtype=complex),) * 64,
+                           branch_ranks=(2,) + (1,) * 63)
+    with pytest.raises(ChannelError, match="4096"):
+        routine.execute(np.eye(2, dtype=complex) / 2)
 
 
 def test_qudit_skips_zero_kraus_operators():
@@ -276,6 +304,17 @@ def test_projective_reset_channel():
     assert np.max(np.abs(routine.execute(rho) - np.diag([1.0, 0.0]))) < 1e-12
 
 
+def test_projective_reset_circuit_on_the_engine_and_noisy_hardware():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    routine = projective_channel_routine([p0, p1], [np.eye(2, dtype=complex), PAULI_X.astype(complex)])
+    ideal = extract_channel(routine.circuit()).channel
+    assert np.max(np.abs(ideal.choi - routine.channel().choi)) < 1e-12
+    noisy = extract_channel(apply_noise_model(routine.circuit(), GateModel(depolarizing(0.9))))
+    assert validate_cptp(noisy.channel).passed
+    assert choi_fidelity(noisy.channel, routine.channel()) < 1
+
+
 def test_projective_trivial_identity():
     routine = projective_channel_routine([np.eye(2, dtype=complex)], [np.eye(2, dtype=complex)])
     assert abs(choi_fidelity(routine.channel(), Channel.identity(2)) - 1) < 1e-12
@@ -289,6 +328,20 @@ def test_projective_parity_two_qubits():
     ch = routine.channel()
     oracle = Channel.from_kraus([even, flip @ odd])
     assert np.max(np.abs(ch.choi - oracle.choi)) < 1e-12
+    rho = random_density_matrix(4, RNG)
+    assert np.max(np.abs(routine.execute(rho) - oracle.apply(rho))) < 1e-12
+
+
+def test_projective_routine_in_a_rotated_basis():
+    # non-diagonal projectors of ranks 1 and 3: the routine's unitary is their eigenbasis
+    w, _ = np.linalg.qr(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
+    p0 = w @ np.diag([1.0, 0.0, 0.0, 0.0]) @ dagger(w)
+    p1 = np.eye(4) - p0
+    flip = np.kron(PAULI_X, np.eye(2)).astype(complex)
+    routine = projective_channel_routine([p0, p1], [flip, np.eye(4, dtype=complex)])
+    assert routine.total_dim == routine.data_dim == 4 and routine.boundaries == (0, 1, 4)
+    oracle = Channel.from_kraus([flip @ p0, p1])
+    assert np.max(np.abs(routine.channel().choi - oracle.choi)) < 1e-12
     rho = random_density_matrix(4, RNG)
     assert np.max(np.abs(routine.execute(rho) - oracle.apply(rho))) < 1e-12
 

@@ -305,6 +305,14 @@ def test_add_wires_checks_budget(monkeypatch):
     assert eng.dims == [2, 2]
 
 
+def test_adding_no_wires_keeps_every_branch_state():
+    eng = StateEngine()
+    eng.add_wires([2, 2])
+    rho = eng.branches[0].rho
+    assert eng.add_wires([]) == []
+    assert eng.branches[0].rho is rho and eng.dims == [2, 2]
+
+
 def test_measure_checks_budget(monkeypatch):
     """Measuring holds the old branches, the new ones and the outcome being formed."""
     monkeypatch.setattr(engine_module, "MAX_STATE_BYTES", state_bytes(4, branches=4))

@@ -14,7 +14,7 @@ from channel_forge.channels import (
     random_channel,
     validate_cptp,
 )
-from channel_forge.circuits import build_ad_circuit
+from channel_forge.circuits import Circuit, build_ad_circuit, rx
 from channel_forge.cli import main
 from channel_forge.figures import _ad_full_template, fig6b_noise_model, fig6c_noise
 from channel_forge.linalg import hermitian_sqrt, reshuffle, uhlmann_gradient
@@ -378,6 +378,17 @@ def test_full_circuit_k1_matches_theta_tailor(case):
     seed[0] = theta_rec.circuit_params["theta"]
     rec = full_circuit_tailor(target, template, hw, optimizer=optimizer, seeds=[seed])
     assert rec.achieved_fidelity >= theta_rec.achieved_fidelity - tol
+
+
+def test_full_circuit_tailor_refuses_a_template_that_never_runs():
+    # 7 data qubits: a Choi state of dimension 16384, over the engine cap at every point
+    def build(params):
+        return Circuit(wires=[(f"q{i}", 2) for i in range(7)]).gate(rx(params[0]), [0])
+
+    template = ParametricCircuit(1, build, name="seven-qubit")
+    with pytest.raises(ChannelError, match="seven-qubit.*exceeds engine cap"):
+        full_circuit_tailor(Channel.identity(2), template,
+                            optimizer=OptimizerConfig(restarts=1, max_evals_per_restart=5))
 
 
 # -- building blocks ----------------------------------------------------------------
