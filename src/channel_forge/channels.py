@@ -182,10 +182,11 @@ class CPTPReport:
 
 
 def kraus_to_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Liouville superoperator sum_i K_i (x) conj(K_i) (row-major vectorization)."""
+    """Liouville superoperator sum_i K_i (x) conj(K_i) (row-major vectorization);
+    operators stacked ``(B, d_out, d_in)`` give the stack of B superoperators."""
     ops = [as_complex(k) for k in operators]
-    dim_out, dim_in = ops[0].shape
-    s = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=np.complex128)
+    dim_out, dim_in = ops[0].shape[-2:]
+    s = np.zeros(ops[0].shape[:-2] + (dim_out * dim_out, dim_in * dim_in), dtype=np.complex128)
     for k in ops:
         s += kron(k, k.conj())
     return s
@@ -269,16 +270,20 @@ def mix(channels: Sequence[Channel], probs: Sequence[float]) -> Channel:
     return Channel(dim_in=dim_in, dim_out=dim_out, choi=choi)
 
 
-def choi_fidelity(a: Channel, b: Channel) -> float:
+def choi_fidelity(a: Channel | Sequence[Channel], b: Channel):
     """Uhlmann fidelity of the normalized Choi states of two channels.
 
     Symmetric, in [0, 1], and 1 exactly when the channels coincide. Raises
-    when either Choi state fails PSD beyond the roundoff floor.
+    when either Choi state fails PSD beyond the roundoff floor. A sequence of
+    channels as ``a`` is scored against ``b`` in one stacked Uhlmann call,
+    giving an array whose entries equal the single-channel floats bit for bit.
     """
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
+    many = not isinstance(a, Channel)
+    members = list(a) if many else [a]
+    if any((m.dim_in, m.dim_out) != (b.dim_in, b.dim_out) for m in members):
         raise ChannelError("choi_fidelity requires channels of equal dimensions")
     try:
-        return uhlmann_fidelity(a.choi, b.choi)
+        return uhlmann_fidelity(np.stack([m.choi for m in members]) if many else a.choi, b.choi)
     except ValueError as exc:
         raise ChannelError(f"invalid channel in fidelity: {exc}") from exc
 

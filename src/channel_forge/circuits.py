@@ -10,13 +10,13 @@ mixtures, so there is no sampling anywhere in the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .channels import Channel, ChannelError, channel_to_dict, check_unitary, mix
-from .engine import MAX_TOTAL_DIMENSION, StateEngine
+from .engine import MAX_TOTAL_DIMENSION, StateEngine, _check_memory
 from .linalg import (as_complex, decode_complex, encode_complex, max_entangled_ket,
                      parse_each, read_field, refuse_unknown_keys)
 from .noise import PAULI_X, PAULI_Y, PAULI_Z, channel_from_entry
@@ -275,18 +275,54 @@ def run_element(engine: StateEngine, el: Element, handle_of: dict) -> None:
         raise ChannelError(f"unknown circuit element {el!r}")
 
 
-def _run(circuit: Circuit, state: np.ndarray, ref_dims: Sequence[int] = ()):
-    """Run the circuit on an engine holding ``state`` over the data wires, then
-    ``ref_dims`` reference wires, with every other wire an ancilla in |0>.
-    Returns the engine, the handle of each live wire and the reference handles."""
-    data = circuit.data()
-    dims = circuit.wire_dims()
+def _skeleton(el: Element):
+    """What every member of a batch shares at one position: every field but a
+    gate's unitary and the names, a channel by identity."""
+    if isinstance(el, (Gate, ConditionalGate)):
+        return type(el), el.wires, getattr(el, "register", None), getattr(el, "value", None)
+    if isinstance(el, ChannelOp):
+        return ChannelOp, id(el.channel), el.wires, el.is_noise, el.condition
+    return el  # Measure, Reset, TraceOut: plain fields, compared by value
+
+
+def _batch_elements(circuits: Sequence[Circuit]) -> list:
+    """The elements that run ``circuits`` as one batch: each position's element
+    with the members' gate unitaries stacked. ChannelError unless the circuits
+    share wires, data wires and one skeleton, naming ``elements[i]`` at the
+    first position that differs."""
+    first = circuits[0]
+    if len(circuits) == 1:
+        return first.elements
+    for c in circuits[1:]:
+        if (c.wires, c.data(), len(c.elements)) != (first.wires, first.data(), len(first.elements)):
+            raise ChannelError("batched circuits differ in wires, data wires or element count")
+
+    def stack(column: tuple) -> Element:
+        el = column[0]
+        if any(_skeleton(other) != _skeleton(el) for other in column[1:]):
+            raise ChannelError("element differs across the batch beyond its gate unitary")
+        if isinstance(el, (Gate, ConditionalGate)):
+            return replace(el, unitary=np.stack([other.unitary for other in column]))
+        return el
+
+    return parse_each(list(zip(*(c.elements for c in circuits))), stack, "elements")
+
+
+def _run(circuits: Sequence[Circuit], state: np.ndarray, ref_dims: Sequence[int] = ()):
+    """Run circuits that share one skeleton (see :func:`_batch_elements`) on an
+    engine holding ``state`` over the data wires, then ``ref_dims`` reference
+    wires, with every other wire an ancilla in |0>. One circuit runs unbatched;
+    more run as one batch, from ``state`` stacked ``(B, D, D)``. Returns the
+    engine, the handle of each live wire and the reference handles."""
+    elements = _batch_elements(circuits)
+    data = circuits[0].data()
+    dims = circuits[0].wire_dims()
     ancillas = [w for w in range(len(dims)) if w not in data]
     engine = StateEngine()
     handles = engine.add_wires([dims[w] for w in data] + list(ref_dims), state=state)
     handle_of = dict(zip(data, handles))
     handle_of.update(zip(ancillas, engine.add_wires([dims[w] for w in ancillas])))
-    parse_each(circuit.elements, lambda el: run_element(engine, el, handle_of), "elements")
+    parse_each(elements, lambda el: run_element(engine, el, handle_of), "elements")
     return engine, handle_of, handles[len(data):]
 
 
@@ -302,12 +338,12 @@ def simulate(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 def simulate_detailed(circuit: Circuit, rho_in: np.ndarray):
     """Like :func:`simulate` but also returns the branch log. A ChannelError
     raised while running names the element, ``elements[i]``, as parsing does."""
-    engine, handle_of, _ = _run(circuit, rho_in)
+    engine, handle_of, _ = _run([circuit], rho_in)
     live = sorted(handle_of)
     return engine.reduced_state([handle_of[w] for w in live]), engine.branch_summary()
 
 
-def extract_channel(circuit: Circuit) -> ProcessResult:
+def extract_channel(circuit: Circuit | Sequence[Circuit]) -> ProcessResult | list[ProcessResult]:
     """Effective channel of the circuit on its data wires.
 
     One half of a maximally entangled state over the data wires is fed
@@ -315,16 +351,28 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
     joint state is the (trace-1) Choi state of the effective map. Every
     non-data wire must be traced out by the end of the circuit. A ChannelError
     raised while running names the element, ``elements[i]``.
+
+    A sequence of circuits that differ only in their gate unitaries runs as
+    one batch, every state stacked on a leading axis, and gives one result
+    per circuit, each equal to that circuit's own result bit for bit. A
+    batch cannot measure, since each member would branch differently.
     """
-    data = circuit.data()
-    dims = circuit.wire_dims()
+    circuits = [circuit] if isinstance(circuit, Circuit) else list(circuit)
+    if not circuits:
+        raise ChannelError("extract_channel needs at least one circuit")
+    data = circuits[0].data()
+    dims = circuits[0].wire_dims()
     data_dims = [dims[w] for w in data]
     d = math.prod(data_dims)
     total = d * math.prod(dims)  # checked before the d^2 x d^2 input is built
     if total > MAX_TOTAL_DIMENSION:
         raise ChannelError(f"total dimension {total} exceeds engine cap {MAX_TOTAL_DIMENSION}")
+    _check_memory(len(circuits), total)  # likewise for a batch's (B, d^2, d^2) input
     ket = max_entangled_ket(d)
-    engine, handle_of, ref_handles = _run(circuit, np.outer(ket, ket.conj()), data_dims)
+    state = np.outer(ket, ket.conj())
+    if len(circuits) > 1:
+        state = np.broadcast_to(state, (len(circuits), *state.shape))
+    engine, handle_of, ref_handles = _run(circuits, state, data_dims)
     expected = {w: handle_of[w] for w in data if w in handle_of}
     if len(expected) != len(data):
         raise ChannelError("a data wire was traced out; cannot extract a channel on it")
@@ -336,10 +384,12 @@ def extract_channel(circuit: Circuit) -> ProcessResult:
             "trace them out before extracting a channel"
         )
     order = [handle_of[w] for w in data] + list(ref_handles)
-    choi = engine.reduced_state(order)
-    out_dim = choi.shape[0] // d
-    ch = Channel.from_choi(choi, dim_in=d, dim_out=out_dim)
-    return ProcessResult(channel=ch, branch_log=engine.branch_summary())
+    chois = engine.reduced_state(order)
+    out_dim = chois.shape[-1] // d
+    results = [ProcessResult(channel=Channel.from_choi(choi, dim_in=d, dim_out=out_dim),
+                             branch_log=engine.branch_summary())
+               for choi in chois.reshape(-1, *chois.shape[-2:])]
+    return results[0] if isinstance(circuit, Circuit) else results
 
 
 # -- circuit library -----------------------------------------------------------

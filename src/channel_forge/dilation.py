@@ -139,7 +139,7 @@ class QuditRoutine:
     def _engine(self, rho: np.ndarray):
         """The engine after the circuit on rho: one branch per outcome above
         the engine's probability floor, its state normalized."""
-        return _run(self.circuit(), self.embed(rho))[0]
+        return _run([self.circuit()], self.embed(rho))[0]
 
     def branch_probabilities(self, rho: np.ndarray) -> np.ndarray:
         return np.array([p for _, _, p in self._engine(rho).measurement_log])

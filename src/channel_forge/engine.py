@@ -4,6 +4,9 @@ The engine holds an ensemble of branches, each a (probability, state,
 classical-record) triple over the currently live wires. Measurements split
 branches exactly; erasing an outcome is just mixing branches back together.
 Wires are addressed through stable integer handles that survive trace-outs.
+Branch states may carry a leading batch axis, ``(B, D, D)``: B independent
+runs of one circuit skeleton, evolved together by every operation except a
+measurement.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ BRANCH_PROB_FLOOR = 1e-15
 
 MAX_TOTAL_DIMENSION = 4096  # 12 qubits
 
-MAX_STATE_BYTES = 2 * 1024**3  # all branch states together: branches x D^2 x 16 bytes
+MAX_STATE_BYTES = 2 * 1024**3  # all states together: batch x branches x D^2 x 16 bytes
 
 SUPEROP_MAX_DIM = 8  # single operators on more local dimensions skip their superoperator
 
@@ -32,38 +35,55 @@ class Branch:
     records: dict = field(default_factory=dict)
 
 
-def _check_memory(branches: int, dim: int) -> None:
-    """Raise before the engine would hold more than MAX_STATE_BYTES of states."""
-    if branches * dim * dim * 16 > MAX_STATE_BYTES:
-        raise ChannelError(f"{branches} branch(es) of dimension {dim} exceed the engine "
+def _check_memory(states: int, dim: int) -> None:
+    """Raise before the engine would hold more than MAX_STATE_BYTES of states;
+    ``states`` counts every branch of every batch member."""
+    if states * dim * dim * 16 > MAX_STATE_BYTES:
+        raise ChannelError(f"{states} state(s) of dimension {dim} exceed the engine "
                            f"budget of {MAX_STATE_BYTES} bytes")
 
 
-def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]) -> np.ndarray:
+def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int],
+              batched: bool = False) -> np.ndarray:
     """Contract the row-major ``d_out x d_in`` matrix ``m`` into the given axes of
-    the tensor ``t``; the output axes, of ``out_dims``, take their place.
+    the tensor ``t``; the output axes, of ``out_dims``, take their place. If
+    ``batched``, axis 0 of ``t`` is a batch axis: a 2-D ``m`` acts on every
+    member, a stack ``(B, d_out, d_in)`` member by member.
 
-    The contracted axes are transposed to the front and the rest flattened,
-    so the contraction is one ``np.dot`` of ``m`` with that ``d_in``-row
-    matrix; its rows are split into ``out_dims`` and one transpose by the
-    inverse permutation puts them back. These are the operands and the BLAS
-    call of numpy's tensor-dot contraction followed by an axis move, so the
-    bits are the same, without those wrappers' per-call axis normalisation.
+    The contracted axes are transposed behind the batch axes and the rest
+    flattened, so the contraction is one product of ``m`` with that
+    ``d_in``-row matrix; its rows are split into ``out_dims`` and one
+    transpose by the inverse permutation puts them back. Unbatched, the
+    product is one ``np.dot``: the operands and BLAS call of numpy's
+    tensor-dot contraction followed by an axis move, so the same bits. A
+    batch takes one ``np.matmul``, which makes the same BLAS call per member
+    on C-contiguous operands, except for ``d_in == 1``: there matmul's own
+    loop rounds differently, so each member takes its own ``np.dot``.
     """
-    rest = [a for a in range(t.ndim) if a not in axes]
-    perm = list(axes) + rest
+    rest = [a for a in range(batched, t.ndim) if a not in axes]
+    perm = [0, *axes, *rest] if batched else list(axes) + rest
     rest_dims = [t.shape[a] for a in rest]
-    cols = t.transpose(perm).reshape(m.shape[1], math.prod(rest_dims))
-    out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
+    if batched:
+        cols = np.ascontiguousarray(t.transpose(perm).reshape(len(t), m.shape[-1], -1))
+        if m.shape[-1] > 1:
+            out = np.matmul(m, cols)
+        else:
+            ms = np.broadcast_to(m, (len(t), *m.shape[-2:]))
+            out = np.array([np.dot(a, b) for a, b in zip(ms, cols)])
+        out = out.reshape([len(t), *out_dims, *rest_dims])
+    else:
+        cols = t.transpose(perm).reshape(m.shape[1], math.prod(rest_dims))
+        out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _operator_form(k: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(matrix, single) for one operator K: its superoperator K (x) conj(K) up to
-    SUPEROP_MAX_DIM local dims, where one contraction beats two; K itself above,
-    where that d^4 array costs more memory and flops than K rho K^dagger."""
+    """(matrix, single) for one operator K, or a stack of them: its superoperator
+    K (x) conj(K) up to SUPEROP_MAX_DIM local dims, where one contraction beats
+    two; K itself above, where that d^4 array costs more memory and flops than
+    K rho K^dagger."""
     k = as_complex(k)
-    single = k.ndim == 2 and k.shape[1] > SUPEROP_MAX_DIM
+    single = k.shape[-1] > SUPEROP_MAX_DIM
     return (k, True) if single else (kraus_to_superop([k]), False)
 
 
@@ -79,6 +99,7 @@ class StateEngine:
         self.handles: list[int] = []
         self._next_handle = 0
         self.branches: list[Branch] = [Branch(prob=1.0, rho=np.ones((1, 1), dtype=np.complex128))]
+        self.batch: tuple[int, ...] = ()  # leading axes of every state: () or (B,)
         self.measurement_log: list[tuple[str, int, float]] = []
 
     # -- wire management ---------------------------------------------------
@@ -100,7 +121,8 @@ class StateEngine:
         return axes
 
     def add_wires(self, dims: list[int], state: np.ndarray | None = None) -> list[int]:
-        """Append wires (joint initial state defaults to |0...0>)."""
+        """Append wires (joint initial state defaults to |0...0>). A ``state``
+        stacked ``(B, d, d)`` on an unbatched engine makes it a batch of B."""
         if not dims and state is None:  # nothing to add: skip the copy of every branch
             return []
         d_new = math.prod(dims)
@@ -108,14 +130,17 @@ class StateEngine:
             raise ChannelError(
                 f"total dimension {self.total_dim * d_new} exceeds engine cap {MAX_TOTAL_DIMENSION}"
             )
-        _check_memory(len(self.branches), self.total_dim * d_new)
         if state is None:
             state = np.zeros((d_new, d_new), dtype=np.complex128)
             state[0, 0] = 1.0
         else:
             state = as_complex(state)
-            if state.shape != (d_new, d_new):
+            lead = state.shape[:-2]
+            if (state.shape[-2:] != (d_new, d_new) or len(lead) > 1
+                    or lead and self.batch not in ((), lead)):
                 raise ChannelError(f"initial state shape {state.shape} does not match dims {dims}")
+        self.batch = self.batch or state.shape[:-2]
+        _check_memory(len(self.branches) * math.prod(self.batch), self.total_dim * d_new)
         new_handles = []
         for d in dims:
             self.dims.append(int(d))
@@ -128,12 +153,12 @@ class StateEngine:
 
     def trace_out(self, handle: int) -> None:
         ax = self.axis_of(handle)
-        n = len(self.dims)
+        n, k = len(self.dims), len(self.batch)
+        d = self.total_dim // self.dims[ax]
         for b in self.branches:
-            t = b.rho.reshape(self.dims + self.dims)
-            t = np.trace(t, axis1=ax, axis2=ax + n)
-            d = self.total_dim // self.dims[ax]
-            b.rho = t.reshape(d, d)
+            t = b.rho.reshape(list(self.batch) + self.dims + self.dims)
+            t = np.trace(t, axis1=k + ax, axis2=k + ax + n)
+            b.rho = t.reshape(self.batch + (d, d))
         del self.dims[ax]
         del self.handles[ax]
 
@@ -141,31 +166,34 @@ class StateEngine:
 
     def _evolve(self, rho: np.ndarray, op: np.ndarray, single: bool,
                 axes: list[int], out_dims: list[int]) -> np.ndarray:
-        """Image of rho: a superoperator contracts into the wires' row and column
-        axes at once, a single operator K into the rows and conj(K) into the columns."""
-        n = len(self.dims)
-        t = rho.reshape(self.dims + self.dims)
-        cols = [n + a for a in axes]
+        """Image of rho, or of each member of a batch: a superoperator contracts
+        into the wires' row and column axes at once, a single operator K into the
+        rows and conj(K) into the columns."""
+        n, k = len(self.dims), len(self.batch)
+        t = rho.reshape([*self.batch, *self.dims, *self.dims])
+        rows = [k + a for a in axes] if k else axes
+        cols = [k + n + a for a in axes]
         if single:
-            t = _contract(_contract(t, op, axes, out_dims), op.conj(), cols, out_dims)
+            t = _contract(_contract(t, op, rows, out_dims, k), op.conj(), cols, out_dims, k)
         else:
-            t = _contract(t, op, axes + cols, out_dims * 2)
-        side = math.isqrt(t.size)
-        return t.reshape(side, side)
+            t = _contract(t, op, rows + cols, out_dims * 2, k)
+        side = math.isqrt(t.size // len(rho) if k else t.size)
+        return t.reshape(self.batch + (side, side))
 
     def _apply(self, op: np.ndarray, single: bool, wires: list[int],
                out_dims: list[int] | None = None,
                condition: tuple[str, int] | None = None) -> None:
         """Apply a superoperator, or one operator if ``single``, to every branch
-        (matching ``condition``, if given)."""
+        (matching ``condition``, if given). A stack of them, one per batch
+        member, applies member by member."""
         axes = self._axes(wires)
         in_dims = [self.dims[a] for a in axes]
         out_dims = in_dims if out_dims is None else list(out_dims)
         d_in, d_out = math.prod(in_dims), math.prod(out_dims)
         expected = (d_out, d_in) if single else (d_out**2, d_in**2)
-        if op.shape != expected:
+        if op.shape[-2:] != expected or op.ndim > 2 and op.shape[:-2] != self.batch:
             raise ChannelError(f"operation of shape {op.shape} does not map wire dims "
-                               f"{in_dims} to {out_dims}")
+                               f"{in_dims} to {out_dims} on a batch of {self.batch}")
         branches = self.branches
         if condition is not None:
             register, value = condition
@@ -179,7 +207,7 @@ class StateEngine:
         new_dims = list(self.dims)
         for a, d in zip(axes, out_dims):
             new_dims[a] = d
-        _check_memory(len(self.branches), math.prod(new_dims))
+        _check_memory(len(self.branches) * math.prod(self.batch), math.prod(new_dims))
         for b in branches:
             b.rho = self._evolve(b.rho, op, single, axes, out_dims)
         self.dims = new_dims
@@ -197,8 +225,11 @@ class StateEngine:
 
         Outcomes run in the outer loop, so only one projector form is held at a
         time; the new branches are then listed branch-major. The memory check
-        counts the old branches too: they are held until the end.
+        counts the old branches too: they are held until the end. A batched
+        state is refused: each member would split differently.
         """
+        if self.batch:
+            raise ChannelError("cannot measure a batch: each member would split differently")
         ax = self.axis_of(wire)
         d = self.dims[ax]
         total = np.zeros(d)
@@ -249,12 +280,16 @@ class StateEngine:
         return [(dict(b.records), b.prob) for b in self.branches]
 
     def reduced_state(self, wires: list[int]) -> np.ndarray:
-        """Mixed state reduced to the given wires, in the given order."""
+        """Mixed state reduced to the given wires, in the given order (one per
+        batch member, stacked, on a batch)."""
         axes = self._axes(wires)
         keep = sorted(axes)
         kept_dims = [self.dims[a] for a in keep]
-        t = partial_trace(self.mixed_state(), self.dims, keep=keep).reshape(kept_dims * 2)
+        t = partial_trace(self.mixed_state(), self.dims, keep=keep)
+        t = t.reshape(list(self.batch) + kept_dims * 2)
         # reorder the kept factors, row and column axes alike, to the requested order
-        order = [keep.index(a) for a in axes]
+        k = len(self.batch)
+        order = [k + keep.index(a) for a in axes]
         d = math.prod(kept_dims)
-        return t.transpose(order + [len(keep) + i for i in order]).reshape(d, d)
+        t = t.transpose(list(range(k)) + order + [len(keep) + i for i in order])
+        return t.reshape(self.batch + (d, d))

@@ -111,9 +111,11 @@ def as_complex(m) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices as one broadcast multiply: the element
-    products ``np.kron`` forms, so the same bits, without its per-call wrappers."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    products ``np.kron`` forms, so the same bits, without its per-call wrappers.
+    Stacks ``(..., r, c)`` broadcast over their leading axes, pair by pair."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(t.shape[:-4] + (ra * rb, ca * cb))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -257,18 +259,20 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     """Trace out every tensor factor not listed in ``keep``.
 
     ``m`` is a square matrix over the tensor product of factors with the given
-    ``dims`` (factor 0 leftmost). The kept factors stay in their original
-    relative order.
+    ``dims`` (factor 0 leftmost), or a stack of them ``(..., D, D)``. The kept
+    factors stay in their original relative order.
     """
     dims = list(dims)
     n = len(dims)
     keep = sorted(keep)
     traced = [i for i in range(n) if i not in keep]
-    t = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + tuple(dims + dims))
     for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
+        half = (t.ndim - len(lead)) // 2
+        t = np.trace(t, axis1=len(lead) + ax, axis2=len(lead) + ax + half)
     d_keep = math.prod(dims[i] for i in keep)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def reshuffle(m: np.ndarray, dim_out: int | None = None, dim_in: int | None = None) -> np.ndarray:

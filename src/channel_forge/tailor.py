@@ -29,7 +29,7 @@ from .channels import (
     compose,
     mix,
 )
-from .circuits import build_ad_circuit, extract_channel
+from .circuits import Measure, build_ad_circuit, extract_channel
 from .linalg import (
     dagger,
     hermitian_sqrt,
@@ -700,28 +700,57 @@ def circuit_fidelity(circuit, target: Channel, hw: NoiseModel | None = None) -> 
     return choi_fidelity(extract_channel(circuit).channel, target)
 
 
+def _batch_fidelities(circuits: list, target: Channel, hw: NoiseModel | None) -> list:
+    """:func:`circuit_fidelity` of each circuit: one batched ``extract_channel``
+    and one stacked ``choi_fidelity`` when they share a skeleton. A skeleton
+    that measures (a batch cannot branch) or a batch that raises ChannelError
+    is scored one circuit at a time, and a circuit that raises gets its
+    ChannelError in place of its fidelity. Each fidelity equals the circuit's
+    own score bit for bit. A noise model that misfits the wires raises."""
+    if hw is not None:
+        circuits = [apply_noise_model(c, hw) for c in circuits]
+    if len(circuits) > 1 and not any(isinstance(el, Measure) for el in circuits[0].elements):
+        try:
+            channels = [res.channel for res in extract_channel(circuits)]
+            return [float(f) for f in choi_fidelity(channels, target)]
+        except ChannelError:
+            pass
+    scores = []
+    for c in circuits:
+        try:
+            scores.append(circuit_fidelity(c, target))
+        except ChannelError as exc:
+            scores.append(exc)
+    return scores
+
+
 def theta_tailor(target: Channel, circuit_builder: Callable[[float], "object"],
                  hw: NoiseModel | None = None, grid: int = 49) -> TailoringRecipe:
     """1-D tailoring of a rotation angle in [0, pi] against a noisy circuit.
 
     The objective is the Choi fidelity of the (noise-decorated) circuit's
-    extracted channel to the target; a coarse grid scan locates the basin
-    and a bounded scalar minimization refines it to 1e-8.
+    extracted channel to the target; a coarse grid scan, scored as one batch,
+    locates the basin and a bounded scalar minimization refines it to 1e-8.
+    ``evaluations`` counts every angle scored, each grid point included.
     """
     evaluations = 0
 
-    def fidelity_of(theta: float) -> float:
+    def fidelities(thetas) -> list[float]:
         nonlocal evaluations
-        evaluations += 1
-        return circuit_fidelity(circuit_builder(theta), target, hw)
+        evaluations += len(thetas)
+        scores = _batch_fidelities([circuit_builder(t) for t in thetas], target, hw)
+        for f in scores:
+            if isinstance(f, ChannelError):
+                raise f
+        return scores
 
     lo, hi = 0.0, np.pi
     thetas = np.linspace(lo, hi, grid)
-    values = [fidelity_of(t) for t in thetas]
+    values = fidelities(thetas)
     i = int(np.argmax(values))
     step = (hi - lo) / (grid - 1)
     b_lo, b_hi = max(lo, thetas[i] - step), min(hi, thetas[i] + step)
-    res = minimize_scalar(lambda t: -fidelity_of(t), bounds=(b_lo, b_hi),
+    res = minimize_scalar(lambda t: -fidelities([t])[0], bounds=(b_lo, b_hi),
                           method="bounded", options={"xatol": 1e-8})
     best_theta, best_f = (float(res.x), -float(res.fun))
     if values[i] > best_f:
@@ -752,31 +781,37 @@ def full_circuit_tailor(target: Channel, template: ParametricCircuit,
     Multi-start L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16,
     1190 (1995)) with scipy's finite-difference gradient, from each of
     ``seeds`` and then from ``restarts`` random points, with
-    ``max_evals_per_restart`` as each start's ``maxfun``. Seeding with a
+    ``max_evals_per_restart`` as each start's ``maxfun``. Scipy hands the
+    probes of each gradient to its ``workers`` map, which scores them as one
+    batch; scipy still picks the steps and counts against ``maxfun``, and
+    ``evaluations`` counts every point scored. Seeding with a
     restricted-parameterization optimum guarantees the result is at least as
     good as any restricted tailoring on the same template. A point whose
-    circuit raises ChannelError scores 0.0; when every evaluation raises, the
-    template cannot run at all, and ChannelError names it and the last error.
+    circuit raises ChannelError scores 0.0, in a batch too; when every
+    evaluation raises, the template cannot run at all, and ChannelError names
+    it and the last error.
     """
     optimizer = optimizer or OptimizerConfig(restarts=4, max_evals_per_restart=400)
     evals, failed, last_error = 0, 0, None
 
-    def neg(params: np.ndarray) -> float:
+    def negs(points) -> list[float]:
         nonlocal evals, failed, last_error
-        evals += 1
-        c = template.build(np.asarray(params, dtype=float))
-        if hw is not None:  # outside the guard: a noise model that misfits the wires raises
-            c = apply_noise_model(c, hw)
-        try:
-            return -circuit_fidelity(c, target)
-        except ChannelError as exc:
-            failed, last_error = failed + 1, exc
-            return 0.0
+        evals += len(points)
+        circuits = [template.build(np.asarray(p, dtype=float)) for p in points]
+        out = []
+        for f in _batch_fidelities(circuits, target, hw):
+            if isinstance(f, ChannelError):
+                failed, last_error = failed + 1, f
+            out.append(0.0 if isinstance(f, ChannelError) else -f)
+        return out
+
+    def probes(fun, points) -> list[float]:  # fun wraps the objective; score the batch directly
+        return negs(list(points))
 
     rng = np.random.default_rng(optimizer.seed)
     draws = _START_SCALE * rng.standard_normal((optimizer.restarts, template.n_params))
-    best = min((minimize(neg, np.asarray(x0, dtype=float), method="L-BFGS-B",
-                         options={"maxfun": optimizer.max_evals_per_restart})
+    best = min((minimize(lambda p: negs([p])[0], np.asarray(x0, dtype=float), method="L-BFGS-B",
+                         options={"maxfun": optimizer.max_evals_per_restart, "workers": probes})
                 for x0 in [*seeds, *draws]), key=lambda res: res.fun)
     if failed == evals:
         raise ChannelError(f"template {template.name!r} failed at every evaluation: {last_error}")

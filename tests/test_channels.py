@@ -269,6 +269,20 @@ def test_choi_fidelity_identity_vs_white_noise():
         assert abs(f - (q + (1 - q) / 4)) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_choi_fidelity_of_a_sequence_is_each_float_bit_for_bit(dim, ranks, seed):
+    rng = np.random.default_rng(seed)
+    target = random_channel(dim, 2, rng)
+    members = [random_channel(dim, r, rng) for r in ranks]
+    together = choi_fidelity(members, target)
+    assert together.shape == (len(members),)
+    assert [float(f) for f in together] == [choi_fidelity(m, target) for m in members]
+    with pytest.raises(ChannelError, match="equal dimensions"):
+        choi_fidelity([*members, Channel.identity(dim + 1)], target)
+
+
 def test_choi_fidelity_symmetry():
     a = random_channel(2, 3, RNG)
     b = random_channel(2, 2, RNG)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from channel_forge import engine as engine_module
 from channel_forge.channels import (
     Channel,
     ChannelError,
     choi_fidelity,
+    random_channel,
     random_density_matrix,
     validate_cptp,
 )
@@ -232,6 +234,101 @@ def test_extract_refuses_over_the_cap_before_building_its_input():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def assert_same_bits(a, b):
+    """Equal values and equal signs of zero, real and imaginary parts alike."""
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def _random_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r).real)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_members_equal_their_batch_of_one_bit_for_bit(data):
+    # same-skeleton circuits: per-member gates on any ordered wire subset,
+    # shared noise channels, ancilla resets, ancillas traced out, data wires in
+    # any order; each member of the batch against its own run
+    n = data.draw(st.integers(2, 4))
+    dims = data.draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, n - 1))
+    data_wires, ancillas = tuple(order[:k]), sorted(order[k:])
+    assume(math.prod(dims) * math.prod(dims[w] for w in data_wires) <= 400)
+    batch = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    circuits = [Circuit(wires=[(f"w{i}", d) for i, d in enumerate(dims)], data_wires=data_wires)
+                for _ in range(batch)]
+    for step in data.draw(st.lists(st.sampled_from(["gate", "channel", "reset"]),
+                                   min_size=1, max_size=4)):
+        if step == "reset":
+            w = data.draw(st.sampled_from(ancillas))
+            for c in circuits:
+                c.reset(w)
+            continue
+        wires = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, min(n, 3)))]
+        d = math.prod(dims[w] for w in wires)
+        if step == "channel" and d <= 9:
+            ch = random_channel(d, data.draw(st.integers(1, 3)), rng)
+            for c in circuits:
+                c.channel(ch, wires, is_noise=True)
+        else:
+            for c in circuits:
+                c.gate(_random_unitary(d, rng), wires)
+    for c in circuits:
+        for w in ancillas:
+            c.trace_out(w)
+    results = extract_channel(circuits)
+    assert len(results) == batch
+    for c, res in zip(circuits, results):
+        (alone,) = extract_channel([c])
+        assert_same_bits(res.channel.choi, alone.channel.choi)
+        assert_same_bits(alone.channel.choi, extract_channel(c).channel.choi)
+
+
+def test_a_batch_refuses_a_skeleton_mismatch_by_element():
+    def circuit(gate_wire, ch=None):
+        c = Circuit(wires=[("a", 2), ("b", 2)])
+        c.gate(hadamard(), [0])
+        c.gate(ry(0.3), [gate_wire])
+        if ch is not None:
+            c.channel(ch, [1])
+        return c
+
+    with pytest.raises(ChannelError, match=r"elements\[1\]: element differs"):
+        extract_channel([circuit(0), circuit(1)])
+    # a noise channel is shared by identity, not by value
+    with pytest.raises(ChannelError, match=r"elements\[2\]: element differs"):
+        extract_channel([circuit(0, bit_flip(0.9)), circuit(0, bit_flip(0.9))])
+    shared = bit_flip(0.9)
+    assert len(extract_channel([circuit(0, shared), circuit(0, shared)])) == 2
+    longer = circuit(0).gate(ry(0.1), [1])
+    with pytest.raises(ChannelError, match="element count"):
+        extract_channel([circuit(0), longer])
+    with pytest.raises(ChannelError, match="measure a batch"):
+        extract_channel([build_ad_circuit(0.3, "measure-feedback")] * 2)
+
+
+def test_a_batch_refuses_over_the_budget_before_building_its_input(monkeypatch):
+    # 3 data qubits: a 64 x 64 Choi input per member, 64 KiB; 1,000 members
+    # would take 64 MiB, and a 1 MiB budget holds 16
+    c = Circuit(wires=[(f"q{i}", 2) for i in range(3)])
+    c.gate(hadamard(), [0])
+    monkeypatch.setattr(engine_module, "MAX_STATE_BYTES", 2**20)
+    assert len(extract_channel([c] * 16)) == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChannelError, match="1000 state"):
+            extract_channel([c] * 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_reset_reinitializes_wire():

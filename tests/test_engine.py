@@ -130,6 +130,45 @@ def test_contract_is_tensordot_and_moveaxis_bit_for_bit(dims, superop, strided, 
     assert_same_bits(_contract(t, m, axes, out_dims), contract_reference(t, m, axes, out_dims))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.booleans(), st.booleans(),
+       st.integers(1, 3), st.data())
+def test_batched_contract_is_the_unbatched_contract_per_member(dims, superop, stacked, batch,
+                                                               data):
+    """Each member of a batched contraction has the bits of its own unbatched
+    one, under one operator shared by the batch or one operator per member."""
+    n = len(dims)
+    k = data.draw(st.integers(1, min(3, n)))
+    axes = data.draw(st.permutations(range(n)))[:k]
+    out_dims = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = dims + dims
+    t = planted_zeros([batch] + shape, rng)
+    if superop:
+        axes, out_dims = axes + [n + a for a in axes], out_dims * 2
+    d_in = int(np.prod([shape[a] for a in axes]))
+    m = planted_zeros(([batch] if stacked else []) + [int(np.prod(out_dims)), d_in], rng)
+    out = _contract(t, m, [1 + a for a in axes], out_dims, batched=True)
+    for i in range(batch):
+        alone = _contract(t[i], m[i] if stacked else m, axes, out_dims)
+        assert np.array_equal(out[i], alone)
+        assert np.array_equal(np.signbit(out[i].real), np.signbit(alone.real))
+        assert np.array_equal(np.signbit(out[i].imag), np.signbit(alone.imag))
+
+
+def test_measure_refuses_a_batch(monkeypatch):
+    eng = StateEngine()
+    eng.add_wires([2], state=np.stack([random_density_matrix(2, np.random.default_rng(i))
+                                       for i in range(3)]))
+    assert eng.batch == (3,)
+    with pytest.raises(ChannelError, match="cannot measure a batch"):
+        eng.measure(0, "m")
+    # the budget counts every member: 3 states of dimension 4 take 768 bytes
+    monkeypatch.setattr(engine_module, "MAX_STATE_BYTES", 767)
+    with pytest.raises(ChannelError, match="3 state"):
+        eng.add_wires([2])
+
+
 @SETTINGS
 @given(registers(), st.integers(1, 3))
 def test_channel_matches_reference(reg, rank):

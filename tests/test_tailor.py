@@ -14,7 +14,7 @@ from channel_forge.channels import (
     random_channel,
     validate_cptp,
 )
-from channel_forge.circuits import Circuit, build_ad_circuit, rx
+from channel_forge.circuits import Circuit, build_ad_circuit, extract_channel, rx, ry
 from channel_forge.cli import main
 from channel_forge.figures import _ad_full_template, fig6b_noise_model, fig6c_noise
 from channel_forge.linalg import hermitian_sqrt, reshuffle, uhlmann_gradient
@@ -276,6 +276,50 @@ def test_theta_tailor_reports_counted_evaluations():
 
     rec = theta_tailor(amplitude_damping(0.3), builder, grid=7)
     assert rec.evaluations == len(calls) > 7
+
+
+def test_full_circuit_tailor_scores_only_the_failing_member_of_a_batch_zero(monkeypatch):
+    # the gate grows past unitary once params[1] > 0, and that circuit's Choi
+    # state is not trace preserving: the probe along params[1] fails, the
+    # probe along params[0] in the same batch does not
+    def build(params):
+        return Circuit(wires=[("q0", 2)]).gate(ry(params[0]) * (1 + max(params[1], 0.0)), [0])
+
+    target = amplitude_damping(0.3)
+    batches = []
+    real_minimize = tailor.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        probes = kwargs["options"]["workers"]
+
+        def record(f, points):
+            points = list(points)
+            batches.append((points, probes(f, points)))
+            return batches[-1][1]
+
+        kwargs["options"] = {**kwargs["options"], "workers": record}
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(tailor, "minimize", recording_minimize)
+    full_circuit_tailor(target, ParametricCircuit(2, build),
+                        optimizer=OptimizerConfig(restarts=0, max_evals_per_restart=20),
+                        seeds=[np.array([0.4, 0.0])])
+    (p0, p1), (s0, s1) = batches[0]
+    assert p0[1] == 0.0 < p1[1]
+    with pytest.raises(ChannelError, match="not CPTP"):
+        extract_channel(build(p1))
+    assert s1 == 0.0
+    assert s0 == -tailor.circuit_fidelity(build(p0), target) < 0.0
+
+
+def test_theta_tailor_scores_a_measuring_circuit_one_at_a_time():
+    # a batch cannot measure; the grid falls back to one circuit at a time
+    target, hw = amplitude_damping(0.4), fig6b_noise_model()
+    feedback = theta_tailor(target, lambda th: build_ad_circuit(th, "measure-feedback"), hw,
+                            grid=9)
+    coherent = theta_tailor(target, lambda th: build_ad_circuit(th), hw, grid=9)
+    assert abs(feedback.achieved_fidelity - coherent.achieved_fidelity) < 1e-9
+    assert abs(feedback.circuit_params["theta"] - coherent.circuit_params["theta"]) < 1e-6
 
 
 def test_search_methods_report_counted_evaluations(monkeypatch):
