@@ -83,10 +83,43 @@ def _json_scalar(value) -> str:
     return json.dumps(value, default=float)  # None, bools, NaN, +-inf, numpy scalars
 
 
+def _write_rows(rows, shape: tuple[int, ...], write, nl: str, step: str, sep: str) -> None:
+    """Nest the row texts of an array of ``shape`` (its last axis excluded) in
+    brackets, as :func:`_write_json` nests lists."""
+    if not shape:
+        write(next(rows))
+        return
+    inner = nl + step
+    write("[")
+    for i in range(shape[0]):
+        write(sep + inner if i else inner)
+        _write_rows(rows, shape[1:], write, inner, step, sep)
+    write(nl + "]")
+
+
+def _write_floats(value: np.ndarray, write, nl: str, step: str, sep: str) -> None:
+    """Write a non-empty float64 array of at least one axis as ``value.tolist()``
+    is written: each distinct bit pattern is formatted once (so ``-0.0`` and
+    every NaN payload stay apart), and each row is one join of those texts."""
+    bits, inverse = np.unique(value.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([_json_scalar(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    row_nl = nl + step * (value.ndim - 1)
+    inner = row_nl + step
+    rows = ("[" + inner + (sep + inner).join(texts[row].tolist()) + row_nl + "]"
+            for row in inverse.reshape(-1, value.shape[-1]))
+    _write_rows(rows, value.shape[:-1], write, nl, step, sep)
+
+
 def _write_json(value, write, nl: str, step: str, sep: str) -> None:
     """Write ``value`` chunk by chunk; ``nl`` is the line break and indentation
-    of its level, ``step`` one more level of it ("" both when compact)."""
-    if isinstance(value, (list, tuple)) and value:
+    of its level, ``step`` one more level of it ("" both when compact). An
+    ndarray is written as its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size and value.ndim:
+            _write_floats(value, write, nl, step, sep)
+        else:
+            _write_json(value.tolist(), write, nl, step, sep)
+    elif isinstance(value, (list, tuple)) and value:
         inner = nl + step
         if type(value[0]) is float:  # a matrix row: one join of float reprs
             try:
@@ -116,8 +149,10 @@ def _write_json(value, write, nl: str, step: str, sep: str) -> None:
 
 def _emit_json(payload, out: str | None, indent: int | None = None) -> None:
     """Stream exactly ``json.dumps(payload, indent=indent, default=float)`` plus a
-    newline, without building the whole text: the stdlib encodes indented output
-    one float at a time in Python, this writer joins each row of floats at once."""
+    newline (an ndarray as its ``tolist()``), without building the whole text:
+    the stdlib encodes indented output one float at a time in Python, this writer
+    joins each row of floats at once, and formats each distinct float of an
+    array once."""
     with _output(out) as fh:
         if indent is None:
             _write_json(payload, fh.write, "", "", ", ")
@@ -303,7 +338,7 @@ def cmd_simulate(args) -> int:
         validate_density(rho)
     rho_out, branches = simulate_detailed(circuit, rho)
     payload = {
-        "state": encode_complex(rho_out, ""),
+        "state": {"re": rho_out.real, "im": rho_out.imag},
         "branches": [{"records": rec, "prob": prob} for rec, prob in branches],
     }
     if args.samples:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .channels import Channel, ChannelError, check_kraus, check_unitary
 from .circuits import Circuit, _run, shift_operator, simulate
+from .engine import _check_memory
 from .linalg import (
     RANK_CUTOFF,
     as_complex,
@@ -114,9 +115,14 @@ class QuditRoutine:
         out (each branch keeps a qudit state, not a (qudit, range) one); each
         outcome's correction follows. Only the range index is read, so
         coherence inside a range is kept.
+
+        Measuring the range holds the (qudit, range) state and up to one state
+        per branch, so a routine whose readout exceeds the engine budget is
+        refused here, before its readout gate is built or anything runs.
         """
         dim, n = self.total_dim, self.n_branches
         c = Circuit(wires=[("qudit", dim), ("range", n)], data_wires=(0,))
+        _check_memory(1 + n, dim * n)
         level_range = np.repeat(np.arange(n), np.diff(self.boundaries))
         images = np.arange(dim)[:, None] * n + (np.arange(n) + level_range[:, None]) % n
         readout = np.zeros((dim * n, dim * n), dtype=np.complex128)

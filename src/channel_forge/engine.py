@@ -30,9 +30,25 @@ SUPEROP_MAX_DIM = 8  # single operators on more local dimensions skip their supe
 
 @dataclass
 class Branch:
+    """One branch. ``state`` is kept as the last operation left it: the tensor
+    view ``batch + dims + dims`` of a contraction, in that contraction's axis
+    order, or a matrix; ``rho`` reads it as the ``shape`` matrix, copying it
+    into matrix order on the first read after an operation."""
+
     prob: float
-    rho: np.ndarray
+    state: np.ndarray
+    shape: tuple[int, ...]  # batch + (D, D)
     records: dict = field(default_factory=dict)
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self.state.shape != self.shape:
+            self.state = self.state.reshape(self.shape)
+        return self.state
+
+    @rho.setter
+    def rho(self, value: np.ndarray) -> None:
+        self.state, self.shape = value, value.shape
 
 
 def _check_memory(states: int, dim: int) -> None:
@@ -44,7 +60,7 @@ def _check_memory(states: int, dim: int) -> None:
 
 
 def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int],
-              batched: bool = False) -> np.ndarray:
+              batched: bool = False, gather: bool = False) -> np.ndarray:
     """Contract the row-major ``d_out x d_in`` matrix ``m`` into the given axes of
     the tensor ``t``; the output axes, of ``out_dims``, take their place. If
     ``batched``, axis 0 of ``t`` is a batch axis: a 2-D ``m`` acts on every
@@ -59,6 +75,12 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]
     batch takes one ``np.matmul``, which makes the same BLAS call per member
     on C-contiguous operands, except for ``d_in == 1``: there matmul's own
     loop rounds differently, so each member takes its own ``np.dot``.
+
+    With ``gather``, the unbatched ``d_in``-row matrix is always a C-ordered
+    copy, as it is from a tensor in matrix order: a tensor left in another
+    contraction's axis order can otherwise reshape into a column-major view,
+    which ``np.dot`` hands BLAS transposed (for a one-row ``m``, another gemv
+    kernel with other bits).
     """
     rest = [a for a in range(batched, t.ndim) if a not in axes]
     perm = [0, *axes, *rest] if batched else list(axes) + rest
@@ -73,6 +95,8 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]
         out = out.reshape([len(t), *out_dims, *rest_dims])
     else:
         cols = t.transpose(perm).reshape(m.shape[1], math.prod(rest_dims))
+        if gather:
+            cols = np.ascontiguousarray(cols)
         out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
@@ -98,7 +122,7 @@ class StateEngine:
         self.dims: list[int] = []
         self.handles: list[int] = []
         self._next_handle = 0
-        self.branches: list[Branch] = [Branch(prob=1.0, rho=np.ones((1, 1), dtype=np.complex128))]
+        self.branches: list[Branch] = [Branch(1.0, np.ones((1, 1), dtype=np.complex128), (1, 1))]
         self.batch: tuple[int, ...] = ()  # leading axes of every state: () or (B,)
         self.measurement_log: list[tuple[str, int, float]] = []
 
@@ -164,21 +188,20 @@ class StateEngine:
 
     # -- operations ---------------------------------------------------------
 
-    def _evolve(self, rho: np.ndarray, op: np.ndarray, single: bool,
+    def _evolve(self, state: np.ndarray, op: np.ndarray, single: bool,
                 axes: list[int], out_dims: list[int]) -> np.ndarray:
-        """Image of rho, or of each member of a batch: a superoperator contracts
-        into the wires' row and column axes at once, a single operator K into the
-        rows and conj(K) into the columns."""
+        """Image of a branch state, or of each member of a batch, as the tensor
+        view its last contraction returns: a superoperator contracts into the
+        wires' row and column axes at once, a single operator K into the rows
+        and conj(K) into the columns."""
         n, k = len(self.dims), len(self.batch)
-        t = rho.reshape([*self.batch, *self.dims, *self.dims])
+        t = state.reshape([*self.batch, *self.dims, *self.dims])
         rows = [k + a for a in axes] if k else axes
         cols = [k + n + a for a in axes]
         if single:
-            t = _contract(_contract(t, op, rows, out_dims, k), op.conj(), cols, out_dims, k)
-        else:
-            t = _contract(t, op, rows + cols, out_dims * 2, k)
-        side = math.isqrt(t.size // len(rho) if k else t.size)
-        return t.reshape(self.batch + (side, side))
+            t = _contract(t, op, rows, out_dims, k, gather=True)
+            return _contract(t, op.conj(), cols, out_dims, k)
+        return _contract(t, op, rows + cols, out_dims * 2, k, gather=True)
 
     def _apply(self, op: np.ndarray, single: bool, wires: list[int],
                out_dims: list[int] | None = None,
@@ -207,9 +230,11 @@ class StateEngine:
         new_dims = list(self.dims)
         for a, d in zip(axes, out_dims):
             new_dims[a] = d
-        _check_memory(len(self.branches) * math.prod(self.batch), math.prod(new_dims))
+        side = math.prod(new_dims)
+        _check_memory(len(self.branches) * math.prod(self.batch), side)
         for b in branches:
-            b.rho = self._evolve(b.rho, op, single, axes, out_dims)
+            b.state = self._evolve(b.state, op, single, axes, out_dims)
+            b.shape = self.batch + (side, side)
         self.dims = new_dims
 
     def apply_unitary(self, u: np.ndarray, wires: list[int]) -> None:
@@ -232,6 +257,8 @@ class StateEngine:
             raise ChannelError("cannot measure a batch: each member would split differently")
         ax = self.axis_of(wire)
         d = self.dims[ax]
+        # the matrix diagonal (i, i) as indices of the dims + dims tensor axes
+        diagonal = 2 * np.unravel_index(np.arange(self.total_dim), self.dims)
         total = np.zeros(d)
         split = [[] for _ in self.branches]
         created = 0
@@ -239,13 +266,13 @@ class StateEngine:
             op, single = _operator_form(np.diag((np.arange(d) == outcome).astype(np.complex128)))
             for b, children in zip(self.branches, split):
                 _check_memory(len(self.branches) + created + 1, self.total_dim)
-                rho_o = self._evolve(b.rho, op, single, [ax], [d])
-                p = float(np.trace(rho_o).real)
+                rho_o = self._evolve(b.state, op, single, [ax], [d])
+                p = float(rho_o[diagonal].sum().real)  # np.trace's sum, in the same order
                 total[outcome] += b.prob * p
                 if b.prob * p > BRANCH_PROB_FLOOR:
                     records = dict(b.records)
                     records[register] = outcome
-                    children.append(Branch(prob=b.prob * p, rho=rho_o / p, records=records))
+                    children.append(Branch(b.prob * p, rho_o / p, b.shape, records))
                     created += 1
         self.branches = [child for children in split for child in children]
         for outcome, p in enumerate(total):

@@ -1,12 +1,14 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from channel_forge.channels import Channel, channel_to_dict, channel_to_json
 from channel_forge.cli import _emit_json, main, rows_to_csv
@@ -234,23 +236,47 @@ SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), FLOAT, st.text(),
                    st.characters(max_codepoint=0x1F), FLOAT.map(np.float64),
                    st.integers(-2**63, 2**63 - 1).map(np.int64))
 ROW = st.lists(FLOAT, max_size=5) | st.lists(FLOAT | st.booleans() | st.integers(), max_size=4)
+# quiet NaNs of both signs with other payloads, and a signalling one
+NANS = np.array([0x7FF8000000000001, 0xFFF8000000000ABC, 0x7FF0000000000001],
+                dtype=np.uint64).view(np.float64).tolist()
+# float64 arrays of 0 to 3 axes, empty ones included, each entry drawn from a
+# pool of at most four values, so that values repeat
+SHAPE = (array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+         | array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=2))
+ARRAY = st.tuples(st.lists(FLOAT | st.sampled_from(NANS), min_size=1, max_size=4),
+                  SHAPE).flatmap(
+    lambda pool_shape: arrays(np.intp, pool_shape[1],
+                              elements=st.integers(0, len(pool_shape[0]) - 1)).map(
+        lambda picks: np.array(pool_shape[0], dtype=np.float64)[picks]))
 KEY = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
 TREE = st.recursive(
-    SCALAR | ROW | ROW.map(tuple),
+    SCALAR | ROW | ROW.map(tuple) | ARRAY,
     lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(KEY, kids, max_size=3)),
     max_leaves=12,
 )
 
 
+def listed(value):
+    """``value`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [listed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    return value
+
+
 @settings(max_examples=300, deadline=None)
 @given(payload=TREE)
+@example(payload={"re": np.array([[0.0, -0.0, 5e-324], [NANS[0], NANS[1], -math.inf]])})
 def test_emit_json_writes_exactly_what_json_dumps_writes(payload):
     for indent in (None, 2):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             _emit_json(payload, None, indent)
-        assert buf.getvalue() == json.dumps(payload, indent=indent, default=float) + "\n"
+        assert buf.getvalue() == json.dumps(listed(payload), indent=indent, default=float) + "\n"
 
 
 def _assert_dumps_text(out: str) -> None:
@@ -279,6 +305,62 @@ def test_simulate_with_samples_output_is_json_dumps_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '\\"' in out
     _assert_dumps_text(out)
+
+
+def pinned_circuit(n: int, seed: int, feedback: bool) -> dict:
+    """A seeded ``n``-qubit noisy circuit: two layers of single-qubit gates, a
+    cnot on each of a random pairing of the wires and a depolarizing or
+    damping channel on every wire, then a reset. With ``feedback``, two
+    measurements follow, and their outcomes condition an x gate and a channel."""
+    rng = np.random.default_rng(seed)
+    elements = []
+    for _ in range(2):
+        for w in rng.permutation(n).tolist():
+            elements.append({"type": "gate", "name": "rx", "wires": [w],
+                             "theta": float(rng.uniform(0.2, 3.0))} if rng.random() < 0.6
+                            else {"type": "gate", "name": "h", "wires": [w]})
+        order = rng.permutation(n).tolist()
+        for a, b in zip(order[::2], order[1::2]):
+            elements.append({"type": "gate", "name": "cnot", "wires": [a, b]})
+        for w in rng.permutation(n).tolist():
+            elements.append({"type": "channel", "name": "depolarizing", "wires": [w],
+                             "p": float(rng.uniform(0.9, 0.99))} if rng.random() < 0.5
+                            else {"type": "channel", "name": "amplitude_damping", "wires": [w],
+                                  "gamma": float(rng.uniform(0.01, 0.1))})
+    elements.append({"type": "reset", "wire": int(rng.integers(n))})
+    if feedback:
+        m1, m2, t1, t2 = rng.permutation(n)[:4].tolist()
+        elements += [
+            {"type": "measure", "wire": m1, "register": "a"},
+            {"type": "conditional_gate", "name": "x", "wires": [t1], "register": "a", "value": 1},
+            {"type": "measure", "wire": m2, "register": "b"},
+            {"type": "channel", "name": "dephasing", "q": 0.7, "wires": [t2],
+             "condition": {"register": "b", "value": 0}},
+        ]
+    return {"wires": [{"label": f"q{w}", "dim": 2} for w in range(n)], "elements": elements}
+
+
+# (qubits, seed, feedback) -> sha256 of ``simulate`` stdout: the engine and the writer
+# may change how they work, never a byte of what they print
+PINNED_SIMULATE = {
+    (6, 1, False):
+        "48f4bbb38d79d5719858ab0a8370415034323d2873500e7f5a5e7e87f84aaef5",
+    (7, 2, False):
+        "749fc7d65bc5feb273d30a79e576e9c3d3db5fce74dbaafa749f97751d383d6d",
+    (8, 3, False):
+        "a3761916151928ab2f0e005bb2c38fe71caa3f0d3bd0003f5842ca2daac95862",
+    (7, 4, True):
+        "8e7068c11602ca46e627e1ae1cb6cbd9ea6485787fed5caa5efdd0bcfb45b4d8",
+}
+
+
+@pytest.mark.parametrize("n, seed, feedback", sorted(PINNED_SIMULATE))
+def test_simulate_stdout_is_pinned(tmp_path, capsys, n, seed, feedback):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(pinned_circuit(n, seed, feedback)))
+    assert run_cli(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_SIMULATE[n, seed, feedback]
 
 
 def test_netsim_state_report_output_is_json_dumps_text(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,22 @@ def test_qudit_routine_over_the_engine_cap_raises():
                            branch_ranks=(2,) + (1,) * 63)
     with pytest.raises(ChannelError, match="4096"):
         routine.execute(np.eye(2, dtype=complex) / 2)
+
+
+def test_qudit_routine_over_the_engine_budget_is_refused_before_it_runs():
+    """125 levels x 25 branches: the range readout would hold 26 states of
+    dimension 3125, 4 GB; the refusal comes before any of them is built."""
+    routine = extended_qudit_routine(random_channel(5, 25, np.random.default_rng(0)).kraus())
+    rho = np.eye(5, dtype=complex) / 5
+    tracemalloc.start()
+    try:
+        for run in (routine.execute, routine.branch_probabilities):
+            with pytest.raises(ChannelError, match="budget"):
+                run(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_qudit_skips_zero_kraus_operators():

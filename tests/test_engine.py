@@ -414,3 +414,64 @@ def test_cli_exits_2_over_budget(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["simulate", str(path), "--state", "1"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def run_program(dims, program, rng_seed, read_every_state):
+    """Run ``program`` (see the test below) on an engine seeded with a random
+    state; with ``read_every_state``, read each branch's ``rho`` after every
+    operation, which copies it into matrix order."""
+    rng = np.random.default_rng(rng_seed)
+    eng = StateEngine()
+    h = eng.add_wires(dims, state=random_density_matrix(int(np.prod(dims)), rng))
+    for i, (kind, wires) in enumerate(program):
+        local = int(np.prod([eng.dims[eng.axis_of(h[w])] for w in wires]))
+        if kind == "unitary":
+            eng.apply_unitary(random_unitary(local, rng), [h[w] for w in wires])
+        elif kind == "channel":
+            eng.apply_channel(random_channel(local, 2, rng), [h[w] for w in wires])
+        elif kind == "reset":
+            eng.reset(h[wires[0]])
+        elif kind == "measure":
+            eng.measure(h[wires[0]], f"m{i}")
+        elif kind == "conditional" and eng.measurement_log:
+            register, value, _ = eng.measurement_log[-1]
+            eng.apply_conditional_unitary(random_unitary(local, rng), [h[w] for w in wires],
+                                          register, value)
+        if read_every_state:
+            for b in eng.branches:
+                b.rho
+    return eng
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3), st.data())
+def test_states_kept_in_contraction_order_evolve_bit_for_bit(dims, data):
+    """Branch states stay in the axis order of their last contraction until
+    read. An engine whose states are all copied into matrix order after every
+    operation must reach the same bits: wide operators (applied as
+    K rho K^dagger), measurements, conditional gates and resets included."""
+    n = len(dims)
+    step = st.tuples(st.sampled_from(["unitary", "channel", "reset", "measure", "conditional"]),
+                     st.permutations(range(n)).flatmap(
+                         lambda p: st.integers(1, n).map(lambda k: p[:k])))
+    program = data.draw(st.lists(step, min_size=1, max_size=6))
+    program = [(kind, wires[:1] if kind in ("channel", "reset", "measure") else wires)
+               for kind, wires in program]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    lazy, eager = (run_program(dims, program, seed, read) for read in (False, True))
+    assert lazy.measurement_log == eager.measurement_log
+    assert [b.prob for b in lazy.branches] == [b.prob for b in eager.branches]
+    a, b = (np.ascontiguousarray(e.mixed_state()) for e in (lazy, eager))
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("dims", [[4, 4], [2, 6], [3, 2, 4]])
+def test_reset_after_the_other_wires_keeps_the_bits_of_matrix_order(dims):
+    """After an operation on every other wire, the reset wire's row and column
+    axes are the innermost ones, so its one-row trace operator meets a state
+    that reshapes into a column-major view. Summing the diagonal of a 4- or
+    6-level wire, the gemv kernel BLAS takes for that view rounds differently."""
+    program = [("unitary", tuple(range(len(dims) - 1))), ("reset", (len(dims) - 1,))]
+    lazy, eager = (run_program(dims, program, 7, read) for read in (False, True))
+    a, b = (np.ascontiguousarray(e.mixed_state()) for e in (lazy, eager))
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -33,6 +33,8 @@ PIN_TOL = 1e-12
 RATCHETS = {
     "fig6a": {"fidelity_opt": "higher"},
     "fig6b": {"fidelity_theta_only": "higher", "fidelity_full_circuit": "higher"},
+    "fig6c": {"fidelity_pauli_probs": "higher", "fidelity_full_circuit": "higher"},
+    "fig7c": {"best_fidelity_stochastic": "higher", "best_fidelity_ancilla": "higher"},
 }
 
 
