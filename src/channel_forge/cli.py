@@ -100,13 +100,17 @@ def _write_rows(rows, shape: tuple[int, ...], write, nl: str, step: str, sep: st
 def _write_floats(value: np.ndarray, write, nl: str, step: str, sep: str) -> None:
     """Write a non-empty float64 array of at least one axis as ``value.tolist()``
     is written: each distinct bit pattern is formatted once (so ``-0.0`` and
-    every NaN payload stay apart), and each row is one join of those texts."""
-    bits, inverse = np.unique(value.view(np.int64).ravel(), return_inverse=True)
-    texts = np.array([_json_scalar(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    every NaN payload stay apart), and each row is one join of those texts.
+    The patterns are found by one sort, and each row's entries by a binary
+    search among them, so no argsort or full-size index array is made."""
+    bits = value.view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    texts = np.array([_json_scalar(x) for x in distinct.view(np.float64).tolist()], dtype=object)
     row_nl = nl + step * (value.ndim - 1)
     inner = row_nl + step
-    rows = ("[" + inner + (sep + inner).join(texts[row].tolist()) + row_nl + "]"
-            for row in inverse.reshape(-1, value.shape[-1]))
+    rows = ("[" + inner + (sep + inner).join(texts[np.searchsorted(distinct, row)].tolist())
+            + row_nl + "]" for row in bits.reshape(-1, value.shape[-1]))
     _write_rows(rows, value.shape[:-1], write, nl, step, sep)
 
 
@@ -327,7 +331,7 @@ def cmd_simulate(args) -> int:
     dims = circuit.wire_dims()
     data = circuit.data()
     d = math.prod(dims[w] for w in data)
-    if args.state is None or args.state.isdigit():
+    if args.state is None or args.state.isascii() and args.state.isdigit():
         index = int(args.state or 0)
         if index >= d:
             raise ChannelError(f"basis state {index} out of range for dimension {d}")

@@ -27,6 +27,10 @@ MAX_STATE_BYTES = 2 * 1024**3  # all states together: batch x branches x D^2 x 1
 
 SUPEROP_MAX_DIM = 8  # single operators on more local dimensions skip their superoperator
 
+PANEL_BYTES = 256 * 1024  # a gathered state larger than this is contracted panel by panel
+
+PANEL_ALIGN = 64  # a panel's column count stays a multiple of this
+
 
 @dataclass
 class Branch:
@@ -80,7 +84,13 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]
     copy, as it is from a tensor in matrix order: a tensor left in another
     contraction's axis order can otherwise reshape into a column-major view,
     which ``np.dot`` hands BLAS transposed (for a one-row ``m``, another gemv
-    kernel with other bits).
+    kernel with other bits). A copy of more than PANEL_BYTES is made and
+    contracted in column panels, one per index of the leading rest axes (a
+    panel the tensor already holds in C order is used in place), so each
+    panel and BLAS's packed copy of it stay in cache: the output is laid out
+    as ``[leading rest axes, out axes, other rest axes]``. A panel keeps a
+    multiple of PANEL_ALIGN columns, so BLAS tiles every panel as it tiles the
+    whole matrix and each column gets the same bits.
     """
     rest = [a for a in range(batched, t.ndim) if a not in axes]
     perm = [0, *axes, *rest] if batched else list(axes) + rest
@@ -94,10 +104,28 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: list[int], out_dims: list[int]
             out = np.array([np.dot(a, b) for a, b in zip(ms, cols)])
         out = out.reshape([len(t), *out_dims, *rest_dims])
     else:
-        cols = t.transpose(perm).reshape(m.shape[1], math.prod(rest_dims))
-        if gather:
-            cols = np.ascontiguousarray(cols)
-        out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
+        d_in, width, lead = m.shape[1], math.prod(rest_dims), 0
+        while (gather and d_in * width * t.itemsize > PANEL_BYTES and lead < len(rest)
+               and width // rest_dims[lead] % PANEL_ALIGN == 0):
+            width //= rest_dims[lead]
+            lead += 1
+        if lead:
+            perm = rest[:lead] + list(axes) + rest[lead:]
+            src = t.transpose(perm)
+            panel = np.empty(src.shape[lead:], t.dtype)
+            out = np.empty((math.prod(rest_dims[:lead]), m.shape[0], width), np.result_type(m, t))
+            for i, index in enumerate(np.ndindex(*rest_dims[:lead])):
+                block = src[index]
+                if not block.flags.c_contiguous:
+                    np.copyto(panel, block)
+                    block = panel
+                np.dot(m, block.reshape(d_in, width), out=out[i])
+            out = out.reshape(rest_dims[:lead] + list(out_dims) + rest_dims[lead:])
+        else:
+            cols = t.transpose(perm).reshape(d_in, width)
+            if gather:
+                cols = np.ascontiguousarray(cols)
+            out = np.dot(m, cols).reshape(list(out_dims) + rest_dims)
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 

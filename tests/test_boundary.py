@@ -539,3 +539,15 @@ def test_simulate_state_file_and_index_are_checked(tmp_path, capsys):
         assert main(["simulate", str(path), "--state", str(state)]) == 2
     assert main(["simulate", str(path), "--state", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "\u0661", "1\u00b2"])
+def test_simulate_state_that_is_no_ascii_index_is_read_as_a_file(tmp_path, capsys, text):
+    """``str.isdigit`` accepts a superscript two, which ``int`` refuses, and
+    ``int`` reads an Arabic-Indic one: only ASCII digits are a basis index,
+    other text names a state file, here a missing one."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(circuit_to_dict(Circuit(wires=[("q", 2)]))))
+    assert main(["simulate", str(path), "--state", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file" in err

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from channel_forge import engine as engine_module
 from channel_forge.channels import Channel, channel_to_dict, channel_to_json
 from channel_forge.cli import _emit_json, main, rows_to_csv
 from channel_forge.linalg import max_entangled_ket
@@ -356,6 +357,19 @@ PINNED_SIMULATE = {
 
 @pytest.mark.parametrize("n, seed, feedback", sorted(PINNED_SIMULATE))
 def test_simulate_stdout_is_pinned(tmp_path, capsys, n, seed, feedback):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(pinned_circuit(n, seed, feedback)))
+    assert run_cli(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_SIMULATE[n, seed, feedback]
+
+
+@pytest.mark.parametrize("n, seed, feedback", sorted(PINNED_SIMULATE))
+def test_simulate_stdout_in_panels_is_pinned(tmp_path, capsys, monkeypatch, n, seed, feedback):
+    """With 1 KiB panels every state of 6 to 8 qubits is contracted in
+    panels, measurement projectors, conditional operations and the reset
+    included: not one printed byte moves."""
+    monkeypatch.setattr(engine_module, "PANEL_BYTES", 1024)
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps(pinned_circuit(n, seed, feedback)))
     assert run_cli(["simulate", str(path)]) == 0

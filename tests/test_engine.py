@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from channel_forge import engine as engine_module
@@ -443,6 +443,17 @@ def run_program(dims, program, rng_seed, read_every_state):
     return eng
 
 
+def programs(n):
+    """Up to six steps of ``run_program`` on ``n`` wires; channels, resets and
+    measurements take one wire."""
+    step = st.tuples(st.sampled_from(["unitary", "channel", "reset", "measure", "conditional"]),
+                     st.permutations(range(n)).flatmap(
+                         lambda p: st.integers(1, n).map(lambda k: p[:k])))
+    return st.lists(step, min_size=1, max_size=6).map(lambda program: [
+        (kind, wires[:1] if kind in ("channel", "reset", "measure") else wires)
+        for kind, wires in program])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3), st.data())
 def test_states_kept_in_contraction_order_evolve_bit_for_bit(dims, data):
@@ -450,13 +461,7 @@ def test_states_kept_in_contraction_order_evolve_bit_for_bit(dims, data):
     read. An engine whose states are all copied into matrix order after every
     operation must reach the same bits: wide operators (applied as
     K rho K^dagger), measurements, conditional gates and resets included."""
-    n = len(dims)
-    step = st.tuples(st.sampled_from(["unitary", "channel", "reset", "measure", "conditional"]),
-                     st.permutations(range(n)).flatmap(
-                         lambda p: st.integers(1, n).map(lambda k: p[:k])))
-    program = data.draw(st.lists(step, min_size=1, max_size=6))
-    program = [(kind, wires[:1] if kind in ("channel", "reset", "measure") else wires)
-               for kind, wires in program]
+    program = data.draw(programs(len(dims)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     lazy, eager = (run_program(dims, program, seed, read) for read in (False, True))
     assert lazy.measurement_log == eager.measurement_log
@@ -474,4 +479,85 @@ def test_reset_after_the_other_wires_keeps_the_bits_of_matrix_order(dims):
     program = [("unitary", tuple(range(len(dims) - 1))), ("reset", (len(dims) - 1,))]
     lazy, eager = (run_program(dims, program, 7, read) for read in (False, True))
     a, b = (np.ascontiguousarray(e.mixed_state()) for e in (lazy, eager))
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def panel_registers(draw):
+    """Wire dims: one or two wires of 2 to 5 levels among qubits and ququarts
+    of 16 levels or more, in any order, so that most contractions are wide
+    enough to split into aligned panels."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=2))
+    dims += draw(st.sampled_from([[4, 4], [2, 2, 4], [2, 4, 2], [2, 2, 2, 2]]))
+    return list(draw(st.permutations(dims)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel_registers(), st.sampled_from(["superop", "single", "trace", "prepare"]),
+       st.booleans(), st.sampled_from([16, 1024, 4096]), st.data())
+def test_panel_contraction_is_the_single_dot_bit_for_bit(dims, form, lazy, panel_bytes, data):
+    """A gathered contraction run panel by panel has the bits of the one
+    ``np.dot`` over the whole gathered matrix: superoperators and single
+    operators, the one-row trace and one-column preparation of a reset, on
+    states in matrix order or left in another contraction's axis order."""
+    n = len(dims)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    wires = data.draw(st.permutations(range(n)))[:1 if form in ("trace", "prepare") else
+                                                   data.draw(st.integers(1, min(2, n)))]
+    in_dims = [dims[a] for a in wires]
+    if form == "prepare":  # the traced-out wire has dimension 1 until it is prepared
+        out_dims, dims = in_dims * 2, [1 if a in wires else d for a, d in enumerate(dims)]
+    elif form == "trace":
+        out_dims = [1, 1]
+    else:
+        out_dims = in_dims if form == "single" else in_dims * 2
+    axes = list(wires) if form == "single" else list(wires) + [n + a for a in wires]
+    shape = dims + dims
+    if lazy:
+        order = data.draw(st.permutations(range(2 * n)))
+        t = planted_zeros([shape[i] for i in order], rng).transpose(np.argsort(order))
+    else:
+        t = planted_zeros(shape, rng)
+    m = planted_zeros((int(np.prod(out_dims)), int(np.prod([shape[a] for a in axes]))), rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "PANEL_BYTES", 2**62)
+        whole = _contract(t, m, axes, out_dims, gather=True)
+        mp.setattr(engine_module, "PANEL_BYTES", panel_bytes)
+        panels = _contract(t, m, axes, out_dims, gather=True)
+    event("in panels" if panels.strides != whole.strides else "one np.dot")
+    assert panels.shape == whole.shape
+    assert np.array_equal(np.ascontiguousarray(panels).view(np.int64),
+                          np.ascontiguousarray(whole).view(np.int64))
+
+
+def test_large_gathered_contraction_runs_in_aligned_panels(monkeypatch):
+    """Over PANEL_BYTES, the output is laid out leading rest axes first, and
+    the panels stop at the last split that keeps a multiple of PANEL_ALIGN
+    columns: 2 x 4 x 48 columns split into two panels of 192, not 48."""
+    t = planted_zeros([2, 2, 4, 48], np.random.default_rng(0))
+    m = planted_zeros((2, 2), np.random.default_rng(1))
+    monkeypatch.setattr(engine_module, "PANEL_BYTES", 16)
+    out = _contract(t, m, [0], [2], gather=True)
+    assert out.base.shape == (2, 2, 4 * 48)
+    whole = contract_reference(t, m, [0], [2])
+    assert np.array_equal(np.ascontiguousarray(out).view(np.int64),
+                          np.ascontiguousarray(whole).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel_registers(), st.data())
+def test_engine_in_panels_evolves_bit_for_bit(dims, data):
+    """Whole programs (wide operators, measurements, conditional gates and
+    resets) reach the same bits with states contracted in panels."""
+    program = data.draw(programs(len(dims)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for panel_bytes in (2**62, 1024):
+            mp.setattr(engine_module, "PANEL_BYTES", panel_bytes)
+            runs.append(run_program(dims, program, seed, False))
+    whole, panels = runs
+    assert panels.measurement_log == whole.measurement_log
+    assert [b.prob for b in panels.branches] == [b.prob for b in whole.branches]
+    a, b = (np.ascontiguousarray(e.mixed_state()) for e in (panels, whole))
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
